@@ -4,7 +4,8 @@ The headline gate is the **tentpole speedup**: a 16-row SRAM column's
 DC characterisation — 64 wordline stimulus points x 8 variation
 corners, 512 lanes of a 35-unknown nodal system — must run >= 10x
 faster *per lane* through the compiled batched engine than through
-the looped scalar :class:`~repro.circuit.mna.NodalSolver` oracle,
+the looped scalar :class:`~repro.circuit.mna.NodalSolver` oracle
+(:func:`repro.reference.solve_dc_batch`),
 while agreeing to <= 1e-9 V on every node of the lanes both solved.
 The oracle is timed on a lane subset (it is three decades slower; a
 full 512-lane oracle run would dominate the suite), which is exactly
@@ -21,6 +22,7 @@ import time
 import numpy as np
 from conftest import run_once
 
+from repro import reference
 from repro.circuit.mna_batch import solve_dc_batch
 from repro.circuit.sram import SramCell
 from repro.circuit.sram_array import build_column, min_write_pulse
@@ -97,11 +99,9 @@ def test_bench_array_dc_speedup_vs_sequential(benchmark):
                                dvth_n_v=corners, initial=column.seed())
         t_batch = time.perf_counter() - start
         start = time.perf_counter()
-        oracle = solve_dc_batch(column.circuit,
-                                stimulus={"wl0": wl[::stim_stride]},
-                                dvth_n_v=corners[corner_sel],
-                                initial=column.seed(),
-                                solver="sequential")
+        oracle = reference.solve_dc_batch(
+            column.circuit, stimulus={"wl0": wl[::stim_stride]},
+            dvth_n_v=corners[corner_sel], initial=column.seed())
         t_oracle = time.perf_counter() - start
         lanes_batch = N_STIMULUS * N_CORNERS
         lanes_oracle = int(np.prod(oracle.batch_shape))

@@ -1,10 +1,10 @@
 """Benches: the vectorised circuit-evaluation layer.
 
 Batched VTC/SNM extraction and array-native Monte Carlo, each paired
-with its sequential (scalar-oracle) counterpart so ``BENCH_circuits.json``
-records the before/after of the vectorisation.  The sequential Monte
-Carlo oracles are the slow half; set ``REPRO_BENCH_QUICK=1`` (the CI
-quick mode) to skip them.
+with its sequential twin from :mod:`repro.reference` so
+``BENCH_circuits.json`` records the before/after of the vectorisation.
+The sequential Monte Carlo oracles are the slow half; set
+``REPRO_BENCH_QUICK=1`` (the CI quick mode) to skip them.
 """
 
 import os
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import run_once
 
-from repro import perf
+from repro import perf, reference
 from repro.circuit import Inverter, butterfly_snm, find_vmin, noise_margins
 from repro.circuit.chain import InverterChain
 from repro.circuit.dvs import (chain_rate_hz, vdd_for_throughput,
@@ -45,7 +45,8 @@ def test_bench_vtc_batch(benchmark):
 
 def test_bench_vtc_sequential(benchmark):
     inv = _build_inverter()
-    vins, vouts = run_once(benchmark, inv.vtc, 121, "sequential")
+    ref = reference.Inverter(inv.nfet, inv.pfet, inv.vdd)
+    vins, vouts = run_once(benchmark, ref.vtc, 121)
     assert vouts[0] > vouts[-1]
 
 
@@ -57,7 +58,7 @@ def test_bench_snm_batch(benchmark):
 
 def test_bench_snm_sequential(benchmark):
     inv = _build_inverter()
-    nm = run_once(benchmark, noise_margins, inv, "sequential")
+    nm = run_once(benchmark, reference.noise_margins, inv)
     assert nm.snm > 0.0
 
 
@@ -70,8 +71,7 @@ def test_bench_snm_mc100_batch(benchmark):
 @slow
 def test_bench_snm_mc100_sequential(benchmark):
     inv = _build_inverter()
-    mc = run_once(benchmark, snm_distribution, inv, 100,
-                  solver="sequential")
+    mc = run_once(benchmark, reference.snm_distribution, inv, 100)
     assert mc.mean > 0.0
 
 
@@ -84,8 +84,7 @@ def test_bench_delay_mc200_batch(benchmark):
 @slow
 def test_bench_delay_mc200_sequential(benchmark):
     inv = _build_inverter()
-    mc = run_once(benchmark, delay_distribution, inv, 200,
-                  solver="sequential")
+    mc = run_once(benchmark, reference.delay_distribution, inv, 200)
     assert mc.mean > 0.0
 
 

@@ -2,7 +2,7 @@
 
 Each optimiser flow is timed cold — the device-construction memo and
 the warm-start bracket cache are cleared before every round — and
-paired with its sequential (scalar-oracle) counterpart so
+paired with its sequential twin from :mod:`repro.reference` so
 ``BENCH_flows.json`` records the before/after of the vectorisation.
 The sequential sub-V_th sweeps are the slow half; set
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) to skip them.
@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import perf, reference
 from repro.cache import device_memo
 from repro.device.mosfet import Polarity
 from repro.scaling.batch import bracket_memo, optimize_doping_stack
@@ -21,8 +21,7 @@ from repro.scaling.multivth import derive_flavours
 from repro.scaling.roadmap import node_by_name
 from repro.scaling.sensitivity import headline_under_calibration
 from repro.scaling.subvth import (HALO_RATIO_GRID, SS_TIE_TOLERANCE,
-                                  build_sub_vth_family,
-                                  optimize_doping_for_length)
+                                  build_sub_vth_family)
 from repro.scaling.supervth import build_super_vth_family
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -48,8 +47,7 @@ def test_bench_super_family_batch(benchmark):
 
 
 def test_bench_super_family_sequential(benchmark):
-    family = run_cold(benchmark, build_super_vth_family,
-                      solver="sequential")
+    family = run_cold(benchmark, reference.build_super_vth_family)
     assert family.node_names() == ("90nm", "65nm", "45nm", "32nm")
 
 
@@ -60,8 +58,7 @@ def test_bench_sub_family_batch(benchmark):
 
 @slow
 def test_bench_sub_family_sequential(benchmark):
-    family = run_cold(benchmark, build_sub_vth_family,
-                      solver="sequential")
+    family = run_cold(benchmark, reference.build_sub_vth_family)
     assert family.node_names() == ("90nm", "65nm", "45nm", "32nm")
 
 
@@ -72,8 +69,8 @@ def test_bench_multivth_menu_batch(benchmark):
 
 @slow
 def test_bench_multivth_menu_sequential(benchmark):
-    menu = run_cold(benchmark, derive_flavours, node_by_name("45nm"), 47.0,
-                    solver="sequential")
+    menu = run_cold(benchmark, reference.derive_flavours,
+                    node_by_name("45nm"), 47.0)
     assert menu["lvt"].vth_mv() < menu["hvt"].vth_mv()
 
 
@@ -103,9 +100,9 @@ def _tail_sweep_batch():
 
 
 def _tail_sweep_sequential():
-    return [optimize_doping_for_length(
+    return [reference.optimize_doping_for_length(
                 _tail_node(), float(l), ioff_target=TAIL_IOFF_A_PER_UM,
-                vdd_leak=TAIL_VDD_LEAK, solver="sequential")
+                vdd_leak=TAIL_VDD_LEAK)
             for l in TAIL_LENGTHS_NM]
 
 
@@ -139,6 +136,6 @@ def test_bench_sensitivity_rebuild_batch(benchmark):
 
 @slow
 def test_bench_sensitivity_rebuild_sequential(benchmark):
-    result = run_cold(benchmark, headline_under_calibration,
-                      sce_prefactor=2.2, solver="sequential")
+    result = run_cold(benchmark, reference.headline_under_calibration,
+                      sce_prefactor=2.2)
     assert result.snm_advantage > 0.0

@@ -30,10 +30,9 @@ trials' candidate points at once, shrinking every bracket 64x, so a
 whole Monte Carlo population costs a handful of batched solves instead
 of thousands of scalar root-finds.
 
-The scalar implementations remain available as correctness oracles
-behind each consumer's ``solver=`` switch (the same convention as
-:class:`repro.tcad.DeviceSimulator`); agreement to <= 1e-9 relative is
-locked down by ``tests/test_circuit_batch_equivalence.py``.
+The scalar implementations live on as references in
+:mod:`repro.reference`; agreement to <= 1e-9 relative is locked down
+by ``tests/test_circuit_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ from ..constants import thermal_voltage
 from ..device.iv import _ekv_f
 from ..errors import LostRegenerationError, ParameterError
 from ..numerics import bisect_masked
-
-#: Solver switch values shared by every batched/scalar consumer pair.
-SOLVER_MODES = ("batch", "sequential")
 
 #: Default bracket tolerance of the batched bisection [V].
 XTOL_DEFAULT = 1e-10
@@ -83,14 +79,6 @@ def lost_regeneration_error(code: int) -> LostRegenerationError:
         raise ParameterError("lost-regeneration code must be 1 or 2")
     return LostRegenerationError(LOST_REGENERATION_MESSAGES[code - 1],
                                  code=code)
-
-
-def validate_solver(solver: str) -> None:  # repro: noqa[RPR004] the switch's own validator, not a dual-backend API
-    """Raise :class:`ParameterError` unless ``solver`` is a known mode."""
-    if solver not in SOLVER_MODES:
-        raise ParameterError(
-            f"unknown solver {solver!r}; choose one of {SOLVER_MODES}"
-        )
 
 
 def solve_balance_batch(balance, lo, hi, xtol: float = XTOL_DEFAULT

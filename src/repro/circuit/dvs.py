@@ -24,7 +24,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..numerics import bisect_illinois
-from .batch import validate_solver
 from .chain import InverterChain
 from .delay import K_D_DEFAULT
 from .energy import VminResult, _load_and_cycle, chain_energy_sweep
@@ -141,8 +140,8 @@ def vdd_for_throughput_batch(chain: InverterChain, f_targets_hz,
 
 
 def dvs_curve(chain: InverterChain, f_targets_hz,
-              mep: VminResult | None = None, power_gated: bool = False,
-              solver: str = "batch") -> np.ndarray:
+              mep: VminResult | None = None, power_gated: bool = False
+              ) -> np.ndarray:
     """Energy per delivered cycle [J] per ``f_targets_hz`` rate
     target [hz].
 
@@ -151,17 +150,9 @@ def dvs_curve(chain: InverterChain, f_targets_hz,
     above-V_min targets share one gathered bisection for their supplies
     (:func:`vdd_for_throughput_batch`) and one array energy sweep,
     while below-V_min targets apply the duty-cycled V_min floor
-    arithmetic lane-wise.  ``solver="sequential"`` keeps the scalar
-    per-target path as the correctness oracle.
+    arithmetic lane-wise.
     """
-    validate_solver(solver)
     targets = np.asarray(f_targets_hz, dtype=float)
-    if solver == "sequential":
-        return np.array([
-            energy_per_cycle_at_throughput(chain, float(f), mep,
-                                           power_gated=power_gated).energy_j
-            for f in np.ravel(targets)
-        ]).reshape(targets.shape)
     mep = chain.minimum_energy_point() if mep is None else mep
     f_vmin = chain_rate_hz(chain, mep.vmin)
     flat = np.ravel(targets)

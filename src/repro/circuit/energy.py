@@ -23,7 +23,6 @@ from scipy.optimize import minimize_scalar
 
 from .. import perf
 from ..errors import ParameterError
-from .batch import validate_solver
 from .delay import K_D_DEFAULT, analytic_delay
 from .inverter import Inverter
 from .transient import propagation_delay
@@ -168,21 +167,19 @@ class VminResult:
 def find_vmin(inverter: Inverter, n_stages: int = 30, activity: float = 0.1,
               vdd_lo: float = 0.08, vdd_hi: float = 0.70,
               n_grid: int = 33, transient: bool = False,
-              k_d: float = K_D_DEFAULT, solver: str = "batch") -> VminResult:
+              k_d: float = K_D_DEFAULT) -> VminResult:
     """Locate the minimum-energy supply voltage V_min.
 
     A coarse geometric grid brackets the minimum, then bounded scalar
     minimisation refines it.  Raises :class:`ParameterError` when the
     minimum sits on the sweep boundary (no interior V_min in range).
 
-    With ``solver="batch"`` (default) the bracketing grid is one
-    :func:`chain_energy_sweep` array evaluation; ``solver="sequential"``
-    (or a transient delay model, which has no vectorised form) sweeps
-    the grid point by point.
+    The bracketing grid is one :func:`chain_energy_sweep` array
+    evaluation, except under the transient delay model, which has no
+    vectorised form and sweeps the grid point by point.
     """
     if not 0.0 < vdd_lo < vdd_hi:
         raise ParameterError("need 0 < vdd_lo < vdd_hi")
-    validate_solver(solver)
 
     def total(vdd: float) -> float:
         return chain_energy_per_cycle(
@@ -191,11 +188,11 @@ def find_vmin(inverter: Inverter, n_stages: int = 30, activity: float = 0.1,
         ).total_j
 
     grid = np.geomspace(vdd_lo, vdd_hi, n_grid)
-    if solver == "batch" and not transient:
+    if transient:
+        energies = np.array([total(float(v)) for v in grid])
+    else:
         energies = chain_energy_sweep(inverter, grid, n_stages, activity,
                                       k_d=k_d)
-    else:
-        energies = np.array([total(float(v)) for v in grid])
     idx = int(np.argmin(energies))
     if idx == 0 or idx == n_grid - 1:
         raise ParameterError(

@@ -16,9 +16,6 @@ one compiled solve:
   equivalent-inverter reduction cannot see.
 * **switching delay** — a batched transient of an input step into a
   capacitively loaded output, per corner.
-
-Every solver entry point accepts ``solver="batch"/"sequential"`` and
-runs both modes through the same compiled netlist.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import numpy.typing as npt
 
 from ..device.mosfet import MOSFET
 from ..errors import ParameterError
-from .batch import validate_solver
 from .mna_batch import solve_dc_batch, solve_transient_batch
 from .netlist import Circuit, GROUND
 
@@ -152,8 +148,8 @@ def mux2_netlist(nfet_unit: MOSFET, pfet_unit: MOSFET, vdd: float, *,
 
 def gate_leakage(gate: GateNetlist,
                  inputs: Mapping[str, object] | None = None, *,
-                 dvth_n_v: object = 0.0, dvth_p_v: object = 0.0,
-                 solver: str = "batch") -> FloatArray:
+                 dvth_n_v: object = 0.0, dvth_p_v: object = 0.0
+                 ) -> FloatArray:
     """Standby supply current [A] per input vector and corner.
 
     ``inputs`` maps input names to per-lane voltages [v] (broadcast
@@ -162,7 +158,6 @@ def gate_leakage(gate: GateNetlist,
     unmentioned inputs sit at 0.  Returns the current the rail source
     delivers, batch-shaped.
     """
-    validate_solver(solver)
     stimulus: dict[str, object] = {}
     for pin, value in (inputs or {}).items():
         if pin not in gate.inputs:
@@ -170,8 +165,7 @@ def gate_leakage(gate: GateNetlist,
                 f"unknown input {pin!r}; gate has {gate.inputs}")
         stimulus[pin] = value
     result = solve_dc_batch(gate.circuit, stimulus=stimulus,
-                            dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-                            solver=solver)
+                            dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v)
     return np.asarray(result.source_currents_a["vdd"])
 
 
@@ -179,8 +173,7 @@ def gate_delay(gate: GateNetlist, switch_input: str, *,
                held: Mapping[str, float] | None = None,
                rise: bool = True, n_steps: int = 160,
                horizon_taus: float = 40.0, dvth_n_v: object = 0.0,
-               dvth_p_v: object = 0.0, solver: str = "batch"
-               ) -> FloatArray:
+               dvth_p_v: object = 0.0) -> FloatArray:
     """Propagation delay [s] of an input step, per variation corner.
 
     ``switch_input`` steps (up if ``rise``, else down) a tenth of the
@@ -190,7 +183,6 @@ def gate_delay(gate: GateNetlist, switch_input: str, *,
     step-to-output 50 % crossing.  Lanes whose output never crosses
     (a non-controlling input combination) report ``nan``.
     """
-    validate_solver(solver)
     if switch_input not in gate.inputs:
         raise ParameterError(
             f"unknown input {switch_input!r}; gate has {gate.inputs}")
@@ -210,7 +202,7 @@ def gate_delay(gate: GateNetlist, switch_input: str, *,
         stimulus[pin] = value
     result = solve_transient_batch(
         gate.circuit, t_stop, t_stop / n_steps, stimulus=stimulus,
-        dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v, solver=solver)
+        dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v)
     crossings = result.crossing_times(gate.output, 0.5 * vdd)
     delay = crossings - t_step
     return np.asarray(np.where(np.isnan(crossings) | (delay < 0.0),

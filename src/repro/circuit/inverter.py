@@ -4,9 +4,8 @@ The VTC is obtained exactly as the paper's Eq. 3(a) prescribes — by
 equating the NFET and PFET drain currents at the output node — except
 numerically and with the full weak-to-strong-inversion model, so the
 same code serves both the sub-V_th (250 mV) and nominal-V_dd analyses.
-Whole input grids default to the vectorised bisection kernel of
-:mod:`repro.circuit.batch`; the per-point Brent solve remains as the
-scalar oracle (``solver="sequential"``).
+Whole input grids run on the vectorised bisection kernel of
+:mod:`repro.circuit.batch`; single points use a Brent solve.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from scipy.optimize import brentq
 from .. import perf
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .batch import solve_vtc_batch, validate_solver
+from .batch import solve_vtc_batch
 
 
 @dataclass(frozen=True)
@@ -91,22 +90,14 @@ class Inverter:
             return hi
         return float(brentq(balance, lo, hi, xtol=xtol))
 
-    def vtc(self, n_points: int = 121, solver: str = "batch",
+    def vtc(self, n_points: int = 121,
             xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-        """Full VTC on a uniform input grid: ``(vin, vout)`` arrays.
-
-        ``solver="batch"`` (default) solves every input point in one
-        vectorised bisection; ``solver="sequential"`` keeps the scalar
-        per-point Brent solve as the correctness oracle.
-        """
+        """Full VTC on a uniform input grid: ``(vin, vout)`` arrays,
+        every input point solved in one vectorised bisection."""
         if n_points < 5:
             raise ParameterError("need at least 5 VTC points")
-        validate_solver(solver)
         vins = np.linspace(0.0, self.vdd, n_points)
-        if solver == "batch":
-            return vins, solve_vtc_batch(self, vins, xtol=xtol)
-        vouts = np.array([self.vtc_point(float(v), xtol=xtol) for v in vins])
-        return vins, vouts
+        return vins, solve_vtc_batch(self, vins, xtol=xtol)
 
     def gain(self, vin: float, h_v: float | None = None,
              xtol: float = 1e-9) -> float:

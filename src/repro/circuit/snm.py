@@ -9,9 +9,8 @@ Two definitions are provided:
 * :func:`butterfly_snm` — the classic largest-embedded-square SNM of a
   cross-coupled pair (used for the SRAM extension, ref [16]).
 
-Both default to the vectorised kernels of :mod:`repro.circuit.batch`
-(``solver="batch"``); the original scalar implementations remain the
-correctness oracles behind ``solver="sequential"``.
+Both run on the vectorised kernels of :mod:`repro.circuit.batch`;
+the original scalar implementations live in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .. import perf
 from ..errors import ParameterError
@@ -27,7 +25,6 @@ from .batch import (
     XTOL_DEFAULT,
     lost_regeneration_error,
     noise_margins_batch,
-    validate_solver,
 )
 from .inverter import Inverter
 
@@ -60,37 +57,7 @@ class NoiseMargins:
         return min(self.nm_low, self.nm_high)
 
 
-def _unity_gain_points(inverter: Inverter, n_scan: int = 101,
-                       xtol: float = XTOL_DEFAULT) -> tuple[float, float]:
-    """Locate the two gain = -1 inputs by scan + bisection refinement.
-
-    The scan and the refinement use the *same* finite-difference gain
-    stencil, so brentq brackets are guaranteed consistent.
-    """
-    vdd = inverter.vdd
-    margin = vdd * 1e-3
-    vins = np.linspace(margin, vdd - margin, n_scan)
-
-    def gain_plus_one(vin: float) -> float:
-        return inverter.gain(float(vin), xtol=xtol) + 1.0
-
-    values = np.array([gain_plus_one(v) for v in vins])
-    below = values < 0.0
-    if not below.any():
-        raise lost_regeneration_error(1)
-    first = int(np.argmax(below))
-    last = int(len(below) - 1 - np.argmax(below[::-1]))
-    if first == 0 or last == len(vins) - 1:
-        raise lost_regeneration_error(2)
-    v_il = float(brentq(gain_plus_one, vins[first - 1], vins[first],
-                        xtol=xtol))
-    v_ih = float(brentq(gain_plus_one, vins[last], vins[last + 1],
-                        xtol=xtol))
-    return v_il, v_ih
-
-
-def noise_margins(inverter: Inverter, solver: str = "batch",
-                  n_scan: int = 101,
+def noise_margins(inverter: Inverter, n_scan: int = 101,
                   xtol: float = XTOL_DEFAULT) -> NoiseMargins:
     """Gain = -1 noise margins of a CMOS inverter (paper Fig. 4/10).
 
@@ -98,30 +65,18 @@ def noise_margins(inverter: Inverter, solver: str = "batch",
     inverter has no gain = -1 points (supply so low the VTC
     degenerates), which is itself a meaningful "no noise margin left"
     result for callers to handle structurally via the error's ``code``
-    (aligned with the batch kernel's ``lost_code``).
-
-    ``solver="batch"`` (default) extracts the margins through the
-    vectorised VTC kernel; ``solver="sequential"`` runs the original
-    per-point scan, kept as the correctness oracle.
+    (aligned with the batch kernel's ``lost_code``).  The margins come
+    from the vectorised VTC kernel (:func:`noise_margins_batch`).
     """
-    validate_solver(solver)
-    if solver == "batch":
-        batch = noise_margins_batch(inverter, 0.0, 0.0, n_scan=n_scan,
-                                    xtol=xtol)
-        code = int(batch.lost_code[0])
-        if code:
-            raise lost_regeneration_error(code)
-        return NoiseMargins(
-            v_il=float(batch.v_il[0]), v_ih=float(batch.v_ih[0]),
-            v_ol=float(batch.v_ol[0]), v_oh=float(batch.v_oh[0]),
-            nm_low=float(batch.nm_low[0]), nm_high=float(batch.nm_high[0]),
-        )
-    v_il, v_ih = _unity_gain_points(inverter, n_scan=n_scan, xtol=xtol)
-    v_oh = inverter.vtc_point(v_il, xtol=xtol)
-    v_ol = inverter.vtc_point(v_ih, xtol=xtol)
+    batch = noise_margins_batch(inverter, 0.0, 0.0, n_scan=n_scan,
+                                xtol=xtol)
+    code = int(batch.lost_code[0])
+    if code:
+        raise lost_regeneration_error(code)
     return NoiseMargins(
-        v_il=v_il, v_ih=v_ih, v_ol=v_ol, v_oh=v_oh,
-        nm_low=v_il - v_ol, nm_high=v_oh - v_ih,
+        v_il=float(batch.v_il[0]), v_ih=float(batch.v_ih[0]),
+        v_ol=float(batch.v_ol[0]), v_oh=float(batch.v_oh[0]),
+        nm_low=float(batch.nm_low[0]), nm_high=float(batch.nm_high[0]),
     )
 
 
@@ -149,31 +104,12 @@ def _decreasing_interpolator(x: np.ndarray, y: np.ndarray, side: str):
     return evaluate
 
 
-def _lobe_square_sequential(f, g, x_lo: float, x_hi: float) -> float:
-    """Scalar oracle: per-x fixed-point loop with running-best pruning."""
-    best = 0.0
-    for x in np.linspace(x_lo, x_hi, 256):
-        x = float(x)
-        gap0 = f(x) - g(x)
-        if gap0 <= best:
-            continue
-        lo, hi = 0.0, min(gap0, x_hi - x)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if mid <= f(x + mid) - g(x):
-                lo = mid
-            else:
-                hi = mid
-        best = max(best, lo)
-    return best
-
-
 def _lobe_square_batch(f, g, x_lo: float, x_hi: float) -> float:
     """All 256 corner abscissae iterate their fixed point as one array.
 
-    The pruning of the scalar path only skips abscissae that cannot
-    beat the running best, so the unpruned vectorised maximum is
-    identical; each surviving point runs the same 40 bisection
+    The pruning of the scalar reference only skips abscissae that
+    cannot beat the running best, so the unpruned vectorised maximum
+    is identical; each surviving point runs the same 40 bisection
     iterations on the same interpolants.
     """
     xs = np.linspace(x_lo, x_hi, 256)
@@ -195,8 +131,7 @@ def _lobe_square_batch(f, g, x_lo: float, x_hi: float) -> float:
 
 
 def _lobe_square(f_curve: tuple[np.ndarray, np.ndarray],
-                 g_curve: tuple[np.ndarray, np.ndarray],
-                 solver: str = "batch") -> float:
+                 g_curve: tuple[np.ndarray, np.ndarray]) -> float:
     """Largest square between decreasing curve ``f`` (above) and ``g`` (below).
 
     For an axis-aligned square of side ``s`` with lower-left corner
@@ -213,14 +148,12 @@ def _lobe_square(f_curve: tuple[np.ndarray, np.ndarray],
     x_hi = float(max(f_curve[0].max(), g_curve[0].max()))
     if x_hi - x_lo <= 0.0:
         return 0.0
-    if solver == "batch":
-        return _lobe_square_batch(f, g, x_lo, x_hi)
-    return _lobe_square_sequential(f, g, x_lo, x_hi)
+    return _lobe_square_batch(f, g, x_lo, x_hi)
 
 
 def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
-                  backward: tuple[np.ndarray, np.ndarray] | None = None,
-                  solver: str = "batch") -> float:
+                  backward: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> float:
     """Largest-square (Seevinck) SNM of a cross-coupled pair [V].
 
     Parameters
@@ -232,15 +165,12 @@ def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
         VTC of the second inverter; defaults to the first (symmetric
         cell).  The second characteristic is mirrored across the
         ``V_out = V_in`` diagonal to form the butterfly.
-    solver:
-        ``"batch"`` (default) iterates all candidate squares as one
-        array; ``"sequential"`` keeps the scalar per-abscissa loop.
 
     The butterfly's two lobes are bounded above by one VTC and below by
     the mirror of the other; the SNM is the side of the largest square
-    that fits in the smaller lobe.
+    that fits in the smaller lobe.  All candidate squares of a lobe
+    iterate as one array.
     """
-    validate_solver(solver)
     vin_f, vout_f = (np.asarray(a, dtype=float) for a in forward)
     if backward is None:
         vin_b, vout_b = vin_f.copy(), vout_f.copy()
@@ -251,7 +181,7 @@ def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
 
     # Upper-left lobe: below curve A (y = f(x)), above mirrored curve B
     # (y = f_b^{-1}(x), i.e. the swapped-axis samples).
-    upper = _lobe_square((vin_f, vout_f), (vout_b, vin_b), solver)
+    upper = _lobe_square((vin_f, vout_f), (vout_b, vin_b))
     # Lower-right lobe: mirror the construction.
-    lower = _lobe_square((vin_b, vout_b), (vout_f, vin_f), solver)
+    lower = _lobe_square((vin_b, vout_b), (vout_f, vin_f))
     return max(min(upper, lower), 0.0)

@@ -23,7 +23,7 @@ compiled batched MNA engine:
 
 Every solve runs through :func:`repro.circuit.mna_batch.solve_dc_batch`
 / :func:`solve_transient_batch`, so (ΔV_th,n, ΔV_th,p) corners are a
-batch axis, and ``solver="sequential"`` swaps in the scalar oracle.
+batch axis.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 import numpy.typing as npt
 
 from ..errors import ParameterError
-from .batch import validate_solver
 from .compile import CompiledCircuit, compile_circuit
 from .mna_batch import solve_dc_batch, solve_transient_batch
 from .netlist import Circuit, GROUND
@@ -238,8 +237,8 @@ class LeakageVsHeight:
 def bitline_leakage_vs_height(cell: SramCell, heights: Sequence[int], *,
                               dvth_n_v: object = 0.0,
                               dvth_p_v: object = 0.0,
-                              r_keeper_ohms: float | None = None,
-                              solver: str = "batch") -> LeakageVsHeight:
+                              r_keeper_ohms: float | None = None
+                              ) -> LeakageVsHeight:
     """Standby (all wordlines low) bitline leakage per array height.
 
     Every cell stores '0', so each access device leaks the bitline
@@ -250,7 +249,6 @@ def bitline_leakage_vs_height(cell: SramCell, heights: Sequence[int], *,
     leakage strictly falls) because the sagging bitline strips each
     access device of drain bias and DIBL.
     """
-    validate_solver(solver)
     keeper = (default_keeper_ohms(cell) if r_keeper_ohms is None
               else r_keeper_ohms)
     i_rows = []
@@ -260,7 +258,7 @@ def bitline_leakage_vs_height(cell: SramCell, heights: Sequence[int], *,
                               r_keeper_ohms=keeper)
         result = solve_dc_batch(column.circuit, dvth_n_v=dvth_n_v,
                                 dvth_p_v=dvth_p_v,
-                                initial=column.seed(), solver=solver)
+                                initial=column.seed())
         v_bl = result["bl"]
         v_rows.append(v_bl)
         i_rows.append((cell.vdd - v_bl) / keeper)
@@ -278,8 +276,7 @@ def bitline_leakage_vs_height(cell: SramCell, heights: Sequence[int], *,
 
 
 def _probe_vtc(column: SramColumn, vins: FloatArray, out_node: str,
-               solver: str, compiled: CompiledCircuit | None = None
-               ) -> FloatArray:
+               compiled: CompiledCircuit | None = None) -> FloatArray:
     vdd = column.cell.vdd
     seeds = {node: value for node, value in column.seed().items()
              if node not in (out_node,)}
@@ -287,13 +284,12 @@ def _probe_vtc(column: SramColumn, vins: FloatArray, out_node: str,
     result = solve_dc_batch(
         column.circuit, stimulus={"vprobe": vins,
                                   f"wl{column.selected_row}": vdd},
-        initial=seeds, solver=solver, compiled=compiled)
+        initial=seeds, compiled=compiled)
     return result[out_node]
 
 
 def loaded_read_snm(cell: SramCell, n_rows: int, *, n_points: int = 33,
-                    r_keeper_ohms: float | None = None,
-                    solver: str = "batch") -> float:
+                    r_keeper_ohms: float | None = None) -> float:
     """Read SNM [V] of the accessed cell with loaded bitlines.
 
     The selected row is read (wordline high); the other ``n_rows - 1``
@@ -302,7 +298,6 @@ def loaded_read_snm(cell: SramCell, n_rows: int, *, n_points: int = 33,
     disturb stiffens with height.  Both butterfly lobes are solved as
     batched DC sweeps of a loop-breaking probe source.
     """
-    validate_solver(solver)
     if n_points < 8:
         raise ParameterError("need at least 8 VTC points")
     vdd = cell.vdd
@@ -314,25 +309,22 @@ def loaded_read_snm(cell: SramCell, n_rows: int, *, n_points: int = 33,
         column = build_column(cell, n_rows, stored=stored,
                               selected_row=0, probe=probe,
                               r_keeper_ohms=r_keeper_ohms)
-        lobes.append(_probe_vtc(column, vins, out, solver))
-    return butterfly_snm((vins, lobes[0]), (vins, lobes[1]),
-                         solver=solver)
+        lobes.append(_probe_vtc(column, vins, out))
+    return butterfly_snm((vins, lobes[0]), (vins, lobes[1]))
 
 
 def read_snm_vs_height(cell: SramCell, heights: Sequence[int], *,
                        n_points: int = 33,
-                       r_keeper_ohms: float | None = None,
-                       solver: str = "batch"
+                       r_keeper_ohms: float | None = None
                        ) -> tuple[FloatArray, FloatArray, float]:
     """Loaded read SNM [V] per array height, plus the pinned-bitline
     limit the degradation approaches (``(heights, snm, snm_pinned)``).
     ``r_keeper_ohms`` [ohms] overrides the bitline keeper.
     """
     snm = np.array([loaded_read_snm(cell, int(n), n_points=n_points,
-                                    r_keeper_ohms=r_keeper_ohms,
-                                    solver=solver)
+                                    r_keeper_ohms=r_keeper_ohms)
                     for n in heights])
-    pinned = read_snm(cell, solver=solver)
+    pinned = read_snm(cell)
     return np.array([int(n) for n in heights]), snm, pinned
 
 
@@ -342,8 +334,8 @@ def read_snm_vs_height(cell: SramCell, heights: Sequence[int], *,
 
 def write_trip_voltage(cell: SramCell, n_rows: int, *,
                        ramp_taus: float = 80.0, n_steps: int = 240,
-                       dvth_n_v: object = 0.0, dvth_p_v: object = 0.0,
-                       solver: str = "batch") -> FloatArray:
+                       dvth_n_v: object = 0.0, dvth_p_v: object = 0.0
+                       ) -> FloatArray:
     """Write trip: the bitline voltage [V] at which the accessed cell
     flips as ``vbl`` ramps down from the rail, per variation corner.
 
@@ -358,7 +350,6 @@ def write_trip_voltage(cell: SramCell, n_rows: int, *,
     broadcast as corners; lanes whose cell never flips report
     ``nan``.
     """
-    validate_solver(solver)
     vdd = cell.vdd
     column = build_column(cell, n_rows, stored=1, drive_bitlines=True)
     t_ramp = ramp_taus * flip_time_scale_s(cell)
@@ -370,7 +361,7 @@ def write_trip_voltage(cell: SramCell, n_rows: int, *,
         column.circuit, t_ramp, t_ramp / n_steps,
         stimulus={"vbl": vbl_ramp, "wl0": vdd},
         dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-        initial=column.seed(), solver=solver)
+        initial=column.seed())
     t_flip = result.crossing_times("qb0", 0.5 * vdd, rising=True)
     return np.asarray(vdd * (1.0 - t_flip / t_ramp))
 
@@ -378,8 +369,7 @@ def write_trip_voltage(cell: SramCell, n_rows: int, *,
 def min_write_pulse(cell: SramCell, n_rows: int, *,
                     t_max_s: float | None = None, n_probes: int = 10,
                     n_steps: int = 96, dvth_n_v: object = 0.0,
-                    dvth_p_v: object = 0.0, solver: str = "batch"
-                    ) -> FloatArray:
+                    dvth_p_v: object = 0.0) -> FloatArray:
     """Minimum wordline pulse width [s] that writes the cell, per
     variation corner — an OpenNVRAM-style binary search where every
     probe is **one** batched transient.
@@ -392,7 +382,6 @@ def min_write_pulse(cell: SramCell, n_rows: int, *,
     broadcast as corners.  The result is the surviving upper bracket,
     within ``t_max_s / 2**n_probes`` of the true minimum.
     """
-    validate_solver(solver)
     if t_max_s is None:
         t_max_s = 40.0 * flip_time_scale_s(cell)
     if t_max_s <= 0.0:
@@ -414,8 +403,7 @@ def min_write_pulse(cell: SramCell, n_rows: int, *,
             column.circuit, t_stop, dt,
             stimulus={"wl0": wordline, "vbl": 0.0},
             dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-            initial=column.seed(bl_v=0.0), solver=solver,
-            compiled=compiled)
+            initial=column.seed(bl_v=0.0), compiled=compiled)
         return result.voltages["q0"][-1] < 0.5 * vdd
 
     lo = np.zeros(shape)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..constants import EPS_OX_REL, EPS_SI, EPS_SI_REL, Q, T_ROOM, thermal_voltage
+from ..constants import EPS_OX_REL, EPS_SI, EPS_SI_REL, Q, T_ROOM
 from ..errors import ParameterError
 from ..materials.oxide import GateStack
 from ..materials.silicon import bandgap_ev, fermi_potential
@@ -124,18 +124,3 @@ def self_consistent_channel_doping(profile, l_eff_cm: float,
     # usable approximation.
     return n_eff, w_dep
 
-
-def effective_vertical_field(vgs: float, vth: float, stack: GateStack) -> float:
-    """Effective transverse field for mobility degradation [V/cm].
-
-    The standard ``E_eff ~ (V_gs + V_th) / (6 T_ox)`` approximation for
-    electrons (Taur & Ning Eq. 3.53-style), floored at zero.
-    """
-    eot = stack.eot_cm
-    return max((vgs + vth), 0.0) / (6.0 * eot)
-
-
-def thermal_voltage_v(temperature_k: float = T_ROOM) -> float:
-    """``kT/q`` [V] at ``temperature_k`` [K] — alias of
-    :func:`repro.constants.thermal_voltage` for device code."""
-    return thermal_voltage(temperature_k)

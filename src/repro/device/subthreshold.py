@@ -97,12 +97,6 @@ def inverse_subthreshold_slope(stack: GateStack, w_dep_cm: float,
     return slope
 
 
-def slope_mv_per_decade(slope_v_per_decade: float) -> float:
-    """Convenience: ``slope_v_per_decade`` [v/decade] -> mV/dec for
-    reports."""
-    return 1000.0 * slope_v_per_decade
-
-
 def subthreshold_current(i0_a: float, vgs: float, vds: float, vth: float,
                          m: float, temperature_k: float = T_ROOM) -> float:
     """Weak-inversion drain current per the paper's Eq. 1 [A], from

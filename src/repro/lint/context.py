@@ -1,10 +1,11 @@
 """Repository-level context shared by all lint rules.
 
 Per-file AST visitors can enforce purely local invariants, but half of
-this repo's conventions are *cross-file*: a ``solver=`` parameter is
-only compliant if an equivalence test exercises it, a perf-counter
-name is only valid if :data:`repro.perf.KNOWN_COUNTERS` documents it,
-an experiment id is only covered if a benchmark references it.
+this repo's conventions are *cross-file*: a reference twin is only
+compliant if a production name matches it and an equivalence test
+exercises it, a perf-counter name is only valid if
+:data:`repro.perf.KNOWN_COUNTERS` documents it, an experiment id is
+only covered if a benchmark references it.
 :class:`ProjectContext` computes those repo-level facts once (lazily)
 and hands them to every rule.
 
@@ -19,19 +20,25 @@ import ast
 import functools
 import pathlib
 import re
+from typing import Iterator
 
 from ..units import SI_PREFIXES
 
+#: Sub-package holding the scalar reference twins (RPR004).
+REFERENCE_PACKAGE = "reference"
+
 #: Sub-packages whose numerics are "engine code" for RPR008 purposes.
 ENGINE_PACKAGES = ("device", "tcad", "circuit", "scaling", "materials",
-                  "variability")
+                  "variability", REFERENCE_PACKAGE)
 
 #: Sub-packages whose float parameters must carry unit suffixes (RPR005).
+#: The reference twins copy their production signatures, which this
+#: rule checks where they live.
 UNIT_SUFFIX_PACKAGES = ("device", "tcad", "circuit")
 
 #: Sub-packages the unit-dataflow rules (RPR011/RPR012) check.
 DATAFLOW_PACKAGES = ("device", "tcad", "circuit", "scaling",
-                     "variability", "service")
+                     "variability", "service", REFERENCE_PACKAGE)
 
 #: Voltage names in the paper's notation (volts by repo convention):
 #: a ``v``-rooted base (``vdd``, ``vgs``, ``v_il``, ``vfb`` ...) with an
@@ -139,6 +146,35 @@ def is_unit_suffixed(name: str) -> bool:
     return tokens[-1] in vocab
 
 
+def _bound_names(node: ast.stmt) -> Iterator[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                yield target.id
+
+
+def public_names(tree: ast.Module) -> Iterator[tuple[str, ast.stmt]]:
+    """``(qualified name, node)`` of every public name a module binds.
+
+    Covers top-level functions, classes and assignments, plus the
+    methods and assignments in top-level class bodies as
+    ``Class.name``.
+    """
+    for node in tree.body:
+        for name in _bound_names(node):
+            if name.startswith("_"):
+                continue
+            yield name, node
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    for member in _bound_names(child):
+                        if not member.startswith("_"):
+                            yield f"{name}.{member}", child
+
+
 class ProjectContext:
     """Lazily computed repo-level facts for the cross-file rules."""
 
@@ -154,6 +190,21 @@ class ProjectContext:
                       if "egg-info" not in p.parts)
 
     # -- cross-file facts ----------------------------------------------
+
+    @functools.cached_property
+    def production_names(self) -> frozenset[str]:
+        """Qualified public names bound outside ``repro.reference``."""
+        names: set[str] = set()
+        reference = self.root / "src" / "repro" / REFERENCE_PACKAGE
+        for path in self.source_files():
+            if reference in path.parents:
+                continue
+            try:
+                tree = ast.parse(path.read_text(), filename=str(path))
+            except SyntaxError:
+                continue
+            names.update(name for name, _ in public_names(tree))
+        return frozenset(names)
 
     @functools.cached_property
     def equivalence_test_text(self) -> str:

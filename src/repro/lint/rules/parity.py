@@ -1,11 +1,14 @@
 """RPR004 / RPR007 — parity and coverage contracts.
 
-RPR004 (solver parity): every public callable exposing a ``solver=``
-switch is part of the repo-wide contract introduced in PRs 1-4: the
-default must be one of the two canonical backends (``"batch"`` /
-``"sequential"``) and the callable must be exercised by one of the
-scalar/batch equivalence suites (``tests/test_*equivalence*.py``), so
-the fast path always has a correctness oracle.
+RPR004 (reference parity): every batched engine has one public entry
+point, and the scalar code it replaced lives in :mod:`repro.reference`
+under the production name.  Every public name a reference module binds
+(function, class, method, or a twin bound by assignment) must have a
+production twin of the same qualified name and be referenced by one
+of the equivalence suites (``tests/test_*equivalence*.py``), so each
+reference is exercised against its fast path; and no public function
+outside ``repro.reference`` may take a ``solver`` parameter — the
+switch the reference package replaces.
 
 RPR007 (benchmark coverage): every id registered with
 ``@experiment(...)`` must be referenced by a
@@ -19,12 +22,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import ModuleUnit, ProjectContext
+from ..context import (REFERENCE_PACKAGE, ModuleUnit, ProjectContext,
+                       public_names)
 from ..engine import Rule, register
 from ..findings import Finding
-
-#: Canonical backend names every ``solver=`` switch must accept.
-SOLVER_BACKENDS = ("batch", "sequential")
 
 #: Experiment ids exempt from benchmark coverage, with the reason.
 #: Additions need the same review a baseline entry gets.
@@ -37,56 +38,53 @@ def _iter_functions(tree: ast.Module):
             yield node
 
 
-def _solver_default(func: ast.FunctionDef | ast.AsyncFunctionDef):
-    """``(arg, default_node_or_None)`` for a ``solver`` parameter."""
+def _takes_solver(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     args = func.args
-    positional = args.posonlyargs + args.args
-    defaults = [None] * (len(positional) - len(args.defaults))
-    defaults += list(args.defaults)
-    for arg, default in zip(positional, defaults):
-        if arg.arg == "solver":
-            return arg, default
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if arg.arg == "solver":
-            return arg, default
-    return None, None
+    return any(arg.arg == "solver"
+               for arg in args.posonlyargs + args.args + args.kwonlyargs)
 
 
 @register
-class SolverParityRule(Rule):
+class ReferenceParityRule(Rule):
     rule_id = "RPR004"
-    title = "solver= switch without batch/sequential parity contract"
-    rationale = ("PRs 1-4: every batched fast path keeps its scalar "
-                 "oracle behind solver='sequential' and is pinned by an "
-                 "equivalence test; a solver= parameter outside that "
-                 "contract is an unverified fork")
+    title = "reference twin or solver= switch outside the parity contract"
+    rationale = ("each batched engine has one entry point; its scalar "
+                 "twin lives in repro.reference under the same name and "
+                 "is pinned by an equivalence test, and a solver= "
+                 "switch in production is an unverified fork")
 
     def check_module(self, module: ModuleUnit,
                      context: ProjectContext) -> Iterator[Finding]:
         if not module.package_rel:
             return
+        if module.top_package == REFERENCE_PACKAGE:
+            yield from self._check_reference(module, context)
+            return
         for func in _iter_functions(module.tree):
-            if func.name.startswith("_"):
-                continue
-            arg, default = _solver_default(func)
-            if arg is None:
-                continue
-            if not (isinstance(default, ast.Constant)
-                    and default.value in SOLVER_BACKENDS):
+            if not func.name.startswith("_") and _takes_solver(func):
                 yield self.finding(
                     module, func.lineno, func.col_offset,
-                    f"public callable {func.name}() has a solver= "
-                    f"parameter whose default is not one of "
-                    f"{SOLVER_BACKENDS}; the switch must expose both "
-                    f"canonical backends")
-                continue
-            if not context.covered_by_equivalence_tests(func.name):
+                    f"public callable {func.name}() takes a solver "
+                    f"parameter; call the batched engine directly and "
+                    f"keep the scalar twin in repro.{REFERENCE_PACKAGE}")
+
+    def _check_reference(self, module: ModuleUnit,
+                         context: ProjectContext) -> Iterator[Finding]:
+        if module.package_rel.rsplit(".", 1)[-1].startswith("_"):
+            return
+        for qualname, node in public_names(module.tree):
+            if qualname not in context.production_names:
                 yield self.finding(
-                    module, func.lineno, func.col_offset,
-                    f"public callable {func.name}() takes solver= but "
-                    f"is not referenced by any tests/test_*equivalence*"
-                    f".py suite; add it to the scalar/batch equivalence "
-                    f"coverage")
+                    module, node.lineno, node.col_offset,
+                    f"reference {qualname} has no production twin of "
+                    f"the same name outside repro.{REFERENCE_PACKAGE}")
+            elif not context.covered_by_equivalence_tests(
+                    qualname.rsplit(".", 1)[-1]):
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    f"reference {qualname} is not referenced by any "
+                    f"tests/test_*equivalence*.py suite; add a parity "
+                    f"test against its production twin")
 
 
 @register

@@ -26,7 +26,7 @@ Counter names in use
 ``circuit.balance_bisection_sweeps``
     Whole-array bisection sweeps inside the batched balance solver.
 ``circuit.vtc_scalar_solves``
-    Per-point (sequential-oracle) VTC solves.
+    Per-point (scalar Brent) VTC solves.
 ``circuit.snm_batch_extractions``
     Noise-margin extractions performed through the batched kernel.
 ``circuit.delay_batch_points``
@@ -101,7 +101,8 @@ Counter names in use
 ``circuit.mna.transient_steps``
     Accepted backward-Euler steps of the batched transient engine.
 ``circuit.mna.sequential_solves``
-    Per-lane scalar NodalSolver solves run by the sequential oracle.
+    Per-lane scalar NodalSolver solves run by
+    :func:`repro.reference.solve_dc_batch` and its transient twin.
 
 The registry below mirrors this list; ``repro lint`` (rule RPR006)
 statically checks every ``perf.bump``/``perf.get`` call site against

@@ -1,7 +1,7 @@
 """Batched design-space engine: vectorised doping root-solves.
 
-The scalar scaling flows (:mod:`repro.scaling.supervth`,
-:mod:`repro.scaling.subvth`) call ``brentq`` once per (length,
+The scalar scaling flows (kept as references in
+:mod:`repro.reference.scaling`) call ``brentq`` once per (length,
 halo-ratio, polarity) candidate, constructing a full
 :class:`repro.device.mosfet.MOSFET` per residual evaluation.  This
 module replaces those loops with a gathered bracketing solve in
@@ -11,7 +11,7 @@ which evaluates the residual only on the still-active lanes — on top of
 the parameter-axis device evaluation in :mod:`repro.device.batch`.
 Scalar MOSFETs are constructed only at the converged roots (the designs
 the caller keeps anyway), so the selection rules and returned objects
-are shared with the sequential paths.
+are shared with the scalar references.
 
 Warm starts: converged roots are cached per (flow, node, polarity,
 halo-ratio, length-bucket, target, calibration) in an LRU keyed bracket
@@ -54,7 +54,6 @@ import numpy as np
 
 from .. import perf
 from ..cache import LRUMemo, load_brackets, store_brackets
-from ..circuit.batch import SOLVER_MODES, validate_solver
 from ..numerics import WarmStarts, bisect_illinois
 from ..device import geometry as geometry_mod
 from ..device import subthreshold as subthreshold_mod
@@ -71,8 +70,6 @@ from .roadmap import NodeSpec
 from .supervth import LONG_CHANNEL_MULTIPLE, N_HALO_BOUNDS, N_SUB_BOUNDS
 
 __all__ = [
-    "SOLVER_MODES",
-    "validate_solver",
     "DopingSolveRequest",
     "DopingSolveResult",
     "solve_log_doping",

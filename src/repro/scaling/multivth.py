@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuit.batch import validate_solver
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
 from .roadmap import NodeSpec
 from .strategy import DeviceDesign
-from .subvth import SUB_VTH_EVAL_VDD, optimize_doping_for_length
+from .subvth import SUB_VTH_EVAL_VDD
 from .supervth import PFET_WIDTH_RATIO
 
 #: Leakage multipliers defining the standard flavour menu.
@@ -66,8 +65,8 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
                     base_ioff_a_per_um: float = 100e-12,
                     vdd_leak: float = SUB_VTH_EVAL_VDD,
                     pfet_width_um: float = PFET_WIDTH_RATIO,
-                    flavours: dict[str, float] | None = None,
-                    solver: str = "batch") -> dict[str, VthFlavour]:
+                    flavours: dict[str, float] | None = None
+                    ) -> dict[str, VthFlavour]:
     """Solve the LVT/RVT/HVT menu at one node and gate length.
 
     Parameters
@@ -81,52 +80,45 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
         RVT leakage target; LVT/HVT scale it by :data:`FLAVOURS`.
     vdd_leak:
         Bias at which the leakage targets are enforced.
-    solver:
-        ``"batch"`` (default) routes each doping solve through the
-        vectorised engine; ``"sequential"`` is the scalar oracle.
+
+    One batched root-solve covers the whole flavour menu.
 
     >>> from repro.scaling.roadmap import node_by_name
     >>> menu = derive_flavours(node_by_name("45nm"), 47.0)
     >>> menu["lvt"].vth_mv() < menu["rvt"].vth_mv() < menu["hvt"].vth_mv()
     True
     """
-    validate_solver(solver)
     if base_ioff_a_per_um <= 0.0:
         raise ParameterError("base leakage target must be positive")
     menu = flavours or FLAVOURS
     for name, multiplier in menu.items():
         if multiplier <= 0.0:
             raise ParameterError(f"flavour {name!r} multiplier must be > 0")
-    pairs: dict[str, tuple[MOSFET, MOSFET]] = {}
-    if solver == "batch":
-        # One root-solve covers the whole flavour menu: the batched
-        # engine supports per-candidate leakage targets, so all
-        # flavour x polarity x halo-ratio points stack together.
-        from .batch import optimize_doping_groups, reset_warm_starts
-        from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
-        reset_warm_starts()
-        groups = []
-        for name, multiplier in menu.items():
-            target = base_ioff_a_per_um * multiplier
-            groups.append((l_poly_nm, Polarity.NFET, 1.0, target, vdd_leak))
-            groups.append((l_poly_nm, Polarity.PFET, pfet_width_um,
-                           target, vdd_leak))
-        winners = optimize_doping_groups(node, groups, HALO_RATIO_GRID,
-                                         SS_TIE_TOLERANCE)
-        for i, name in enumerate(menu):
-            pairs[name] = (winners[2 * i], winners[2 * i + 1])
-    else:
-        for name, multiplier in menu.items():
-            target = base_ioff_a_per_um * multiplier
-            n_dev = optimize_doping_for_length(
-                node, l_poly_nm, ioff_target=target, polarity=Polarity.NFET,
-                width_um=1.0, vdd_leak=vdd_leak, solver=solver,
-            )
-            p_dev = optimize_doping_for_length(
-                node, l_poly_nm, ioff_target=target, polarity=Polarity.PFET,
-                width_um=pfet_width_um, vdd_leak=vdd_leak, solver=solver,
-            )
-            pairs[name] = (n_dev, p_dev)
+    # The batched engine supports per-candidate leakage targets, so all
+    # flavour x polarity x halo-ratio points stack together.
+    from .batch import optimize_doping_groups, reset_warm_starts
+    from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
+    reset_warm_starts()
+    groups = []
+    for name, multiplier in menu.items():
+        target = base_ioff_a_per_um * multiplier
+        groups.append((l_poly_nm, Polarity.NFET, 1.0, target, vdd_leak))
+        groups.append((l_poly_nm, Polarity.PFET, pfet_width_um,
+                       target, vdd_leak))
+    winners = optimize_doping_groups(node, groups, HALO_RATIO_GRID,
+                                     SS_TIE_TOLERANCE)
+    pairs = {name: (winners[2 * i], winners[2 * i + 1])
+             for i, name in enumerate(menu)}
+    return _flavour_menu(node, base_ioff_a_per_um, vdd_leak, menu, pairs)
+
+
+def _flavour_menu(node: NodeSpec, base_ioff_a_per_um: float,
+                  vdd_leak: float, menu: dict[str, float],
+                  pairs: dict[str, tuple[MOSFET, MOSFET]]
+                  ) -> dict[str, VthFlavour]:
+    """Wrap each flavour's solved device pair, leaking at
+    ``base_ioff_a_per_um`` [A/um] x its multiplier at ``vdd_leak``
+    [V], as a :class:`VthFlavour`."""
     result: dict[str, VthFlavour] = {}
     for name, (n_dev, p_dev) in pairs.items():
         design = DeviceDesign(node=node, nfet=n_dev, pfet=p_dev,

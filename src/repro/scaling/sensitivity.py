@@ -95,20 +95,19 @@ class HeadlineResult:
 
 def headline_under_calibration(overlap_fraction: float | None = None,
                                lt_calibration: float | None = None,
-                               sce_prefactor: float | None = None,
-                               solver: str = "batch") -> HeadlineResult:
+                               sce_prefactor: float | None = None
+                               ) -> HeadlineResult:
     """Re-run the headline comparisons under perturbed constants.
 
     Rebuilds both families from scratch inside the calibration scope
     (the cached families in :mod:`repro.experiments.families` are NOT
-    used — they carry the default calibration).  ``solver`` selects the
-    batched or sequential doping engine for the rebuilds; the batched
+    used — they carry the default calibration).  The batched doping
     engine's warm-start brackets are keyed by the calibration constants,
     so perturbed runs never reuse default-calibration roots.
     """
     with calibration(overlap_fraction, lt_calibration, sce_prefactor):
-        sup = build_super_vth_family(solver=solver)
-        sub = build_sub_vth_family(solver=solver)
+        sup = build_super_vth_family()
+        sub = build_sub_vth_family()
         sup32, sub32 = sup.design("32nm"), sub.design("32nm")
 
         snm_sup = noise_margins(sup32.inverter(0.25)).snm

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuit.batch import validate_solver
 from ..circuit.inverter import Inverter
 from ..device.batch import ParameterStack
 from ..device.mosfet import MOSFET
@@ -125,18 +124,13 @@ class DeviceFamily:
             reference_nm=np.array([d.node.l_poly_nm for d in designs]),
         )
 
-    def table_rows(self, solver: str = "batch") -> list[dict[str, float]]:
+    def table_rows(self) -> list[dict[str, float]]:
         """One summary row per node (the Table 2 / Table 3 payload).
 
-        ``solver="batch"`` (default) extracts the V_th,sat column for
-        the whole family in one gathered constant-current solve
-        (:meth:`repro.device.batch.BatchDeviceMetrics.vth_sat_cc`);
-        ``solver="sequential"`` keeps the per-design scalar ``brentq``
-        extraction as the correctness oracle.
+        The V_th,sat column for the whole family comes from one
+        gathered constant-current solve
+        (:meth:`repro.device.batch.BatchDeviceMetrics.vth_sat_cc`).
         """
-        validate_solver(solver)
-        if solver == "sequential":
-            return [d.summary() for d in self.designs]
         metrics = self.nfet_stack().metrics(
             np.array([d.nfet.profile.n_sub_cm3 for d in self.designs]),
             np.array([d.nfet.profile.n_p_halo_cm3 for d in self.designs]),

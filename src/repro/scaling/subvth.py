@@ -28,7 +28,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .. import perf
-from ..circuit.batch import validate_solver
 from ..circuit.inverter import Inverter
 from ..device.mosfet import MOSFET, Polarity, nfet as build_nfet, pfet as build_pfet
 from ..errors import OptimizationError
@@ -99,8 +98,7 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
                                ioff_target: float | None = None,
                                polarity: Polarity = Polarity.NFET,
                                width_um: float = 1.0,
-                               vdd_leak: float | None = None,
-                               solver: str = "batch") -> MOSFET:
+                               vdd_leak: float | None = None) -> MOSFET:
     """Minimum-S_S doping meeting the I_off target at a given gate length.
 
     This is the per-length doping co-optimisation behind the paper's
@@ -119,38 +117,17 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
         Drain bias for the leakage measurement; defaults to the node's
         nominal V_dd (leakage budgets are specified at full rail even
         for devices destined for sub-V_th use).
-    solver:
-        ``"batch"`` (default) runs the halo-ratio grid as one masked
-        vectorised root-solve; ``"sequential"`` is the scalar oracle.
+
+    The whole halo-ratio grid runs as one masked vectorised
+    root-solve.
     """
-    validate_solver(solver)
+    from . import batch as batch_mod
     target = sub_vth_ioff_target(node) if ioff_target is None else ioff_target
     bias = node.vdd_nominal if vdd_leak is None else vdd_leak
-    if solver == "batch":
-        from . import batch as batch_mod
-        batch_mod.reset_warm_starts()
-        return batch_mod.optimize_doping_stack(
-            node, [l_poly_nm], [(polarity, width_um)], HALO_RATIO_GRID,
-            target, bias, SS_TIE_TOLERANCE)[0][0]
-    candidates: list[MOSFET] = []
-    for ratio in HALO_RATIO_GRID:
-        candidate = _solve_substrate_for_ioff(
-            node, l_poly_nm, ratio, target, polarity, width_um, bias
-        )
-        if candidate is not None:
-            candidates.append(candidate)
-    best: MOSFET | None = None
-    if candidates:
-        ss_best = min(c.ss_v_per_dec for c in candidates)
-        near = [c for c in candidates
-                if c.ss_v_per_dec <= ss_best * (1.0 + SS_TIE_TOLERANCE)]
-        best = min(near, key=lambda c: c.profile.n_sub_cm3)
-    if best is None:
-        raise OptimizationError(
-            f"{node.name}: no doping meets I_off = {target:.3g} A/um at "
-            f"L_poly = {l_poly_nm:.1f} nm"
-        )
-    return best
+    batch_mod.reset_warm_starts()
+    return batch_mod.optimize_doping_stack(
+        node, [l_poly_nm], [(polarity, width_um)], HALO_RATIO_GRID,
+        target, bias, SS_TIE_TOLERANCE)[0][0]
 
 
 @dataclass(frozen=True)
@@ -167,8 +144,7 @@ class SubVthOptimizer:
     pfet_width_um: float = PFET_WIDTH_RATIO
     n_length_points: int = 9
 
-    def design_for_length(self, l_poly_nm: float,
-                          solver: str = "batch") -> DeviceDesign:
+    def design_for_length(self, l_poly_nm: float) -> DeviceDesign:
         """Doping-optimised device pair at one candidate length.
 
         The leakage target is enforced at the sub-V_th operating bias
@@ -177,15 +153,14 @@ class SubVthOptimizer:
         This pins the 250 mV drive current across generations, which is
         what gives the strategy its graceful delay scaling (Fig. 11).
         """
-        self._fresh_flow(solver)
-        return self._rows_for_lengths([l_poly_nm], solver)[0][1]
+        self._fresh_flow()
+        return self._rows_for_lengths([l_poly_nm])[0][1]
 
     @staticmethod
-    def _fresh_flow(solver: str) -> None:
+    def _fresh_flow() -> None:
         """Start a flow invocation cache-state independent (see batch)."""
-        if solver == "batch":
-            from . import batch as batch_mod
-            batch_mod.reset_warm_starts()
+        from . import batch as batch_mod
+        batch_mod.reset_warm_starts()
 
     def energy_factor(self, design: DeviceDesign) -> float:
         """``C_L S_S^2`` for one candidate design (arbitrary units)."""
@@ -198,54 +173,37 @@ class SubVthOptimizer:
         c_load = design.load_capacitance()
         return c_load * design.nfet.ss_v_per_dec
 
-    def _rows_for_lengths(self, lengths_nm,
-                          solver: str) -> list[tuple[float, DeviceDesign, float]]:
+    def _rows_for_lengths(self, lengths_nm
+                          ) -> list[tuple[float, DeviceDesign, float]]:
         """``(l_poly_nm, design, energy_factor)`` rows for a length grid.
 
-        The batch path solves the whole ``lengths x polarity x
-        halo-ratio`` candidate stack in one masked bisection; the
-        sequential path is the per-candidate scalar oracle.
+        Solves the whole ``lengths x polarity x halo-ratio`` candidate
+        stack in one masked bisection.
         """
-        validate_solver(solver)
+        from . import batch as batch_mod
         lengths = [float(l) for l in lengths_nm]
         rows: list[tuple[float, DeviceDesign, float]] = []
-        if solver == "batch":
-            from . import batch as batch_mod
-            target = (sub_vth_ioff_target(self.node)
-                      if self.ioff_target is None else self.ioff_target)
-            jobs = [(Polarity.NFET, 1.0), (Polarity.PFET, self.pfet_width_um)]
-            devices = batch_mod.optimize_doping_stack(
-                self.node, lengths, jobs, HALO_RATIO_GRID, target,
-                SUB_VTH_EVAL_VDD, SS_TIE_TOLERANCE)
-            for l_poly, (n_dev, p_dev) in zip(lengths, devices):
-                design = DeviceDesign(node=self.node, nfet=n_dev, pfet=p_dev,
-                                      strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
-                rows.append((l_poly, design, self.energy_factor(design)))
-            return rows
-        for l_poly in lengths:
-            n_dev = optimize_doping_for_length(
-                self.node, l_poly, self.ioff_target, Polarity.NFET, 1.0,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver=solver,
-            )
-            p_dev = optimize_doping_for_length(
-                self.node, l_poly, self.ioff_target, Polarity.PFET,
-                self.pfet_width_um, vdd_leak=SUB_VTH_EVAL_VDD, solver=solver,
-            )
+        target = (sub_vth_ioff_target(self.node)
+                  if self.ioff_target is None else self.ioff_target)
+        jobs = [(Polarity.NFET, 1.0), (Polarity.PFET, self.pfet_width_um)]
+        devices = batch_mod.optimize_doping_stack(
+            self.node, lengths, jobs, HALO_RATIO_GRID, target,
+            SUB_VTH_EVAL_VDD, SS_TIE_TOLERANCE)
+        for l_poly, (n_dev, p_dev) in zip(lengths, devices):
             design = DeviceDesign(node=self.node, nfet=n_dev, pfet=p_dev,
                                   strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
             rows.append((l_poly, design, self.energy_factor(design)))
         return rows
 
-    def sweep(self, solver: str = "batch"
-              ) -> list[tuple[float, DeviceDesign, float]]:
+    def sweep(self) -> list[tuple[float, DeviceDesign, float]]:
         """Evaluate the length grid: ``(l_poly_nm, design, energy_factor)``."""
-        self._fresh_flow(solver)
+        self._fresh_flow()
         lengths = np.linspace(self.node.l_poly_nm * LENGTH_RANGE[0],
                               self.node.l_poly_nm * LENGTH_RANGE[1],
                               self.n_length_points)
-        return self._rows_for_lengths(lengths, solver)
+        return self._rows_for_lengths(lengths)
 
-    def optimize(self, solver: str = "batch") -> DeviceDesign:
+    def optimize(self) -> DeviceDesign:
         """Grid search with a flatness-aware selection rule.
 
         The energy-factor landscape is extremely shallow around its
@@ -256,7 +214,7 @@ class SubVthOptimizer:
         pick the energy-optimal length over the delay-optimal one.
         A second, local grid refines the choice.
         """
-        rows = self.sweep(solver=solver)
+        rows = self.sweep()
         chosen = self._select(rows)
         if chosen[0] == rows[-1][0] and len(rows) > 1:
             raise OptimizationError(
@@ -268,7 +226,7 @@ class SubVthOptimizer:
         if step > 0.0:
             lo = max(chosen[0] - step, rows[0][0])
             hi = min(chosen[0] + step, rows[-1][0])
-            local = self._rows_for_lengths(np.linspace(lo, hi, 7), solver)
+            local = self._rows_for_lengths(np.linspace(lo, hi, 7))
             chosen = self._select(local, rows)
         return chosen[1]
 
@@ -292,8 +250,7 @@ class SubVthOptimizer:
 
 
 def build_sub_vth_family(include_130nm: bool = False,
-                         ioff_target: float | None = None,
-                         solver: str = "batch") -> DeviceFamily:
+                         ioff_target: float | None = None) -> DeviceFamily:
     """The paper's Table 3 device family.
 
     Each node's design uses the energy-optimal gate length and the
@@ -302,5 +259,5 @@ def build_sub_vth_family(include_130nm: bool = False,
     designs = []
     for node in roadmap_nodes(include_130nm):
         optimizer = SubVthOptimizer(node, ioff_target=ioff_target)
-        designs.append(optimizer.optimize(solver=solver))
+        designs.append(optimizer.optimize())
     return DeviceFamily(strategy="sub-vth", designs=tuple(designs))

@@ -368,10 +368,25 @@ async def serve_stdio(service: DesignSpaceService,
 _HTTP_MAX_BODY = 1 << 20
 
 
+def _http_response(status: str, response: dict, keep_alive: bool) -> bytes:
+    payload = json.dumps(response, sort_keys=True).encode()
+    connection = "keep-alive" if keep_alive else "close"
+    return (f"HTTP/1.1 {status}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: {connection}\r\n\r\n".encode() + payload)
+
+
 async def _handle_http_client(service: DesignSpaceService,
                               reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-    """One HTTP/1.1 connection: ``POST /query`` or ``GET /info``."""
+    """One HTTP/1.1 connection: ``POST /query`` or ``GET /info``.
+
+    A request whose ``Content-Length`` is malformed (400) or over
+    :data:`_HTTP_MAX_BODY` (413) gets an error response and the
+    connection closes: its body cannot be skipped safely, so reading
+    on would parse body bytes as the next request.
+    """
     try:
         while True:
             request_line = await reader.readline()
@@ -381,13 +396,36 @@ async def _handle_http_client(service: DesignSpaceService,
             method = parts[0].upper() if parts else ""
             target = parts[1] if len(parts) > 1 else ""
             length = 0
+            framing_error: tuple[str, str] | None = None
             while True:
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _sep, value = header.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = min(int(value.strip()), _HTTP_MAX_BODY)
+                if name.strip().lower() != "content-length":
+                    continue
+                text = value.strip()
+                # Compare digit counts first: int() refuses very long
+                # digit strings.
+                size = text.lstrip("0") or "0"
+                if not (text.isascii() and text.isdecimal()):
+                    framing_error = ("400 Bad Request",
+                                     f"malformed Content-Length {text!r}")
+                elif (len(size) > len(str(_HTTP_MAX_BODY))
+                      or int(size) > _HTTP_MAX_BODY):
+                    framing_error = (
+                        "413 Payload Too Large",
+                        f"body of {size} bytes exceeds the "
+                        f"{_HTTP_MAX_BODY}-byte limit")
+                else:
+                    length = int(size)
+            if framing_error is not None:
+                status, message = framing_error
+                writer.write(_http_response(
+                    status, {"ok": False, "error": "bad_request",
+                             "message": message}, keep_alive=False))
+                await writer.drain()
+                break
             body = await reader.readexactly(length) if length else b""
             if method == "GET" and target == "/info":
                 response = service.handle({"query": "info"})
@@ -399,12 +437,7 @@ async def _handle_http_client(service: DesignSpaceService,
                 response = {"ok": False, "error": "bad_request",
                             "message": "use POST /query or GET /info"}
                 status = "404 Not Found"
-            payload = json.dumps(response, sort_keys=True).encode()
-            writer.write(
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: keep-alive\r\n\r\n".encode() + payload)
+            writer.write(_http_response(status, response, keep_alive=True))
             await writer.drain()
     except (ConnectionError, asyncio.IncompleteReadError, ValueError):
         pass

@@ -21,15 +21,13 @@ extraction treats exactly like a MEDICI output deck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from ..constants import thermal_voltage
 from ..device.mosfet import MOSFET
 from ..device.electrostatics import flatband_voltage
 from ..errors import ParameterError
-from .charge import sheet_charges, sheet_charges_batch
+from .charge import sheet_charges_batch
 from .extract import IdVgCurve, extract_ss, extract_vth_constant_current
 from .grid import Mesh1D
 from .poisson1d import (
@@ -39,9 +37,6 @@ from .poisson1d import (
     solve_mos_poisson_batch,
 )
 from .quasi2d import sce_vth_shift, slope_degradation_factor
-
-#: Valid values of :attr:`DeviceSimulator.solver`.
-SOLVER_MODES = ("batch", "sequential")
 
 
 @dataclass
@@ -56,19 +51,14 @@ class DeviceSimulator:
         Vertical mesh nodes; 161 keeps charges accurate to <1 %.
     depth_factor:
         Mesh depth as a multiple of the zero-order depletion width.
-    solver:
-        ``"batch"`` (default) runs every gate bias of a sweep through
-        the vectorised batch kernel; ``"sequential"`` keeps the
-        original warm-started bias-by-bias loop, which serves as the
-        correctness oracle for the batch path.  Both converge to the
-        same fixed points, so extracted metrics agree to solver
-        tolerance.
+
+    Every sweep runs all of its gate biases through the vectorised
+    batch kernel (:meth:`solve_batch`).
     """
 
     device: MOSFET
     n_nodes: int = 161
     depth_factor: float = 6.0
-    solver: str = "batch"
 
     _mesh: Mesh1D = field(init=False, repr=False, default=None)
     _doping: np.ndarray = field(init=False, repr=False, default=None)
@@ -77,10 +67,6 @@ class DeviceSimulator:
     def __post_init__(self) -> None:
         if self.n_nodes < 21:
             raise ParameterError("need at least 21 mesh nodes")
-        if self.solver not in SOLVER_MODES:
-            raise ParameterError(
-                f"solver must be one of {SOLVER_MODES}, got {self.solver!r}"
-            )
         dev = self.device
         w_dep = dev.iv.w_dep_cm
         halo_reach = 0.0
@@ -120,46 +106,29 @@ class DeviceSimulator:
             channel_potential_v=channel_potential_v,
         )
 
-    def _sweep_sequential(self, vgs_grid: np.ndarray,
-                          channel_potential_v: float,
-                          extract: Callable[[PoissonSolution], float]
-                          ) -> np.ndarray:
-        """Warm-started bias-by-bias sweep, one scalar per solution.
-
-        The shared fallback (and correctness oracle) behind the sweep
-        methods when ``solver="sequential"``.
-        """
-        vgs = np.asarray(vgs_grid, dtype=float)
-        values = np.empty_like(vgs)
-        warm = None
-        for i, vg in enumerate(vgs):
-            sol = self.solve(float(vg), channel_potential_v, initial_psi=warm)
-            values[i] = extract(sol)
-            warm = sol.psi_v
-        return values
-
     def surface_potential_sweep(self, vgs_grid: np.ndarray,
                                 channel_potential_v: float = 0.0
                                 ) -> np.ndarray:
         """Surface potential psi_s at each gate voltage, with
         quasi-Fermi shift ``channel_potential_v`` [V]."""
-        if self.solver == "batch":
-            batch = self.solve_batch(vgs_grid, channel_potential_v)
-            return batch.surface_potential_v
-        return self._sweep_sequential(vgs_grid, channel_potential_v,
-                                      lambda sol: sol.surface_potential_v)
+        return self.solve_batch(vgs_grid,
+                                channel_potential_v).surface_potential_v
 
     def inversion_charge_sweep(self, vgs_grid: np.ndarray,
                                channel_potential_v: float = 0.0
                                ) -> np.ndarray:
         """Inversion sheet charge [C/cm2] at each gate voltage, with
         quasi-Fermi shift ``channel_potential_v`` [V]."""
-        if self.solver == "batch":
-            batch = self.solve_batch(vgs_grid, channel_potential_v)
-            return sheet_charges_batch(batch).inversion
-        return self._sweep_sequential(
-            vgs_grid, channel_potential_v,
-            lambda sol: sheet_charges(sol).inversion)
+        batch = self.solve_batch(vgs_grid, channel_potential_v)
+        return sheet_charges_batch(batch).inversion
+
+    def _drain_charges(self, vg_eff: np.ndarray,
+                       vds_arr: np.ndarray) -> np.ndarray:
+        """Drain-end inversion sheet charge [C/cm2] at each paired
+        effective gate bias ``vg_eff`` [V] and drain bias ``vds_arr``
+        [V]."""
+        return sheet_charges_batch(self.solve_batch(vg_eff,
+                                                    vds_arr)).inversion
 
     # -- assembled curves -------------------------------------------------------
 
@@ -224,20 +193,8 @@ class DeviceSimulator:
             for vds in vds_arr
         ])
         vg_eff = pivot + (vgs + shifts - pivot) / factor
-        if self.solver == "batch":
-            q_s = sheet_charges_batch(self.solve_batch(vg_eff, 0.0)).inversion
-            q_d = sheet_charges_batch(
-                self.solve_batch(vg_eff, vds_arr)).inversion
-        else:
-            q_s = np.empty_like(vds_arr)
-            q_d = np.empty_like(vds_arr)
-            warm = None
-            for i, vds in enumerate(vds_arr):
-                sol_s = self.solve(float(vg_eff[i]), 0.0, initial_psi=warm)
-                warm = sol_s.psi_v
-                q_s[i] = sheet_charges(sol_s).inversion
-                sol_d = self.solve(float(vg_eff[i]), float(vds))
-                q_d[i] = sheet_charges(sol_d).inversion
+        q_s = self.inversion_charge_sweep(vg_eff, 0.0)
+        q_d = self._drain_charges(vg_eff, vds_arr)
         diffusion = vt * (q_s - q_d)
         drift = (q_s ** 2 - q_d ** 2) / (2.0 * m * cox)
         return np.maximum(aspect * mu * (diffusion + drift), 1e-30)

@@ -7,11 +7,10 @@ exponential in V_th, so delay distributions become log-normal-like
 with large spreads — the variability pressure the paper's introduction
 describes.
 
-Both distributions default to the array-native kernels of
-:mod:`repro.circuit.batch` (``solver="batch"``): the full trial
-population is evaluated as one batched solve, with no per-trial
-``Inverter`` reconstruction.  ``solver="sequential"`` keeps the
-original trial-loop implementations as correctness oracles.
+Both distributions run on the array-native kernels of
+:mod:`repro.circuit.batch`: the full trial population is evaluated as
+one batched solve, with no per-trial ``Inverter`` reconstruction.  The
+original trial loops live in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit.batch import noise_margins_batch, validate_solver
-from ..circuit.delay import analytic_delay, analytic_delay_batch
+from ..circuit.batch import noise_margins_batch
+from ..circuit.delay import analytic_delay_batch
 from ..circuit.inverter import Inverter
-from ..circuit.snm import noise_margins
-from ..errors import LostRegenerationError, ParameterError
+from ..errors import ParameterError
 from .rdf import rdf_sigma_vth
 
 
@@ -90,53 +88,23 @@ def sample_vth_offsets(inverter: Inverter, n_trials: int,
             rng_p.normal(0.0, sigma_p, n_trials))
 
 
-def _perturbed(inverter: Inverter, dn: float, dp: float) -> Inverter:
-    return Inverter(
-        nfet=inverter.nfet.with_vth_offset(float(dn)),
-        pfet=inverter.pfet.with_vth_offset(float(dp)),
-        vdd=inverter.vdd,
-    )
-
-
 def delay_distribution(inverter: Inverter, n_trials: int = 200,
-                       seed: int = 2007,
-                       solver: str = "batch") -> MonteCarloResult:
+                       seed: int = 2007) -> MonteCarloResult:
     """FO1 analytic-delay distribution under RDF [s]."""
-    validate_solver(solver)
     offs_n, offs_p = sample_vth_offsets(inverter, n_trials, seed)
     c_load = inverter.load_capacitance(fanout=1)
-    if solver == "batch":
-        samples = analytic_delay_batch(inverter, offs_n, offs_p, c_load)
-        return MonteCarloResult.from_samples(samples)
-    samples = np.empty(n_trials)
-    for i, (dn, dp) in enumerate(zip(offs_n, offs_p)):
-        samples[i] = analytic_delay(_perturbed(inverter, dn, dp), c_load)
+    samples = analytic_delay_batch(inverter, offs_n, offs_p, c_load)
     return MonteCarloResult.from_samples(samples)
 
 
 def snm_distribution(inverter: Inverter, n_trials: int = 100,
-                     seed: int = 2007,
-                     solver: str = "batch") -> MonteCarloResult:
+                     seed: int = 2007) -> MonteCarloResult:
     """Inverter SNM distribution under RDF [V].
 
-    Trials where the perturbed inverter loses regeneration — the
-    scalar path raises the structured
-    :class:`repro.errors.LostRegenerationError`, whose ``code``
-    mirrors the batch kernel's ``lost_code`` — are recorded as zero
-    noise margin; any other :class:`ParameterError` is a genuine
-    defect and propagates.
+    Trials where the perturbed inverter loses regeneration (the batch
+    kernel's ``lost`` flag) are recorded as zero noise margin.
     """
-    validate_solver(solver)
     offs_n, offs_p = sample_vth_offsets(inverter, n_trials, seed)
-    if solver == "batch":
-        nm = noise_margins_batch(inverter, offs_n, offs_p)
-        samples = np.where(nm.lost, 0.0, nm.snm)
-        return MonteCarloResult.from_samples(samples)
-    samples = np.empty(n_trials)
-    for i, (dn, dp) in enumerate(zip(offs_n, offs_p)):
-        try:
-            samples[i] = noise_margins(
-                _perturbed(inverter, dn, dp), solver="sequential").snm
-        except LostRegenerationError:
-            samples[i] = 0.0
+    nm = noise_margins_batch(inverter, offs_n, offs_p)
+    samples = np.where(nm.lost, 0.0, nm.snm)
     return MonteCarloResult.from_samples(samples)

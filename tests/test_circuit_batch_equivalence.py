@@ -1,16 +1,17 @@
 """Scalar-oracle vs batched circuit-kernel equivalence.
 
 The vectorised kernels of :mod:`repro.circuit.batch` must reproduce
-the sequential implementations to <= 1e-9 relative when both run at a
-tight tolerance, across the Table 2 devices and supplies from deep
-sub-V_th to moderate inversion — including the near-loss-of-
-regeneration corner, where the batch path must flag exactly the trials
-the scalar path raises on, with the same message.
+their scalar twins in :mod:`repro.reference` to <= 1e-9 relative when
+both run at a tight tolerance, across the Table 2 devices and supplies
+from deep sub-V_th to moderate inversion — including the
+near-loss-of-regeneration corner, where the batch path must flag
+exactly the trials the scalar path raises on, with the same message.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.circuit import (
     Inverter,
     LOST_REGENERATION_MESSAGES,
@@ -24,11 +25,12 @@ from repro.circuit import (
     noise_margins_batch,
     solve_vtc_batch,
 )
-from repro.circuit.energy import chain_energy_per_cycle, chain_energy_sweep
+from repro.circuit.energy import chain_energy_sweep
 from repro.circuit.sram import SramCell
 from repro.errors import LostRegenerationError, ParameterError
+from repro.reference import variability as reference_mc
+from repro.reference.variability import _perturbed
 from repro.variability import sample_vth_offsets, snm_distribution
-from repro.variability.montecarlo import _perturbed
 
 #: Tight solve tolerance for the <= 1e-9 relative equivalence checks.
 TIGHT = 1e-13
@@ -67,14 +69,14 @@ class TestNoiseMarginEquivalence:
         for design in super_family.designs:
             inv = design.inverter(vdd)
             try:
-                seq = noise_margins(inv, solver="sequential", xtol=TIGHT)
+                seq = reference.noise_margins(inv, xtol=TIGHT)
             except LostRegenerationError as err:
                 assert str(err) == LOST_REGENERATION_MESSAGES[err.code - 1]
                 with pytest.raises(LostRegenerationError) as batch_err:
-                    noise_margins(inv, solver="batch", xtol=TIGHT)
+                    noise_margins(inv, xtol=TIGHT)
                 assert batch_err.value.code == err.code
                 continue
-            batch = noise_margins(inv, solver="batch", xtol=TIGHT)
+            batch = noise_margins(inv, xtol=TIGHT)
             # All fields live on the supply scale, so 1e-9 relative
             # carries an absolute floor of 1e-9 vdd.
             for field in self.FIELDS:
@@ -96,11 +98,11 @@ class TestNoiseMarginEquivalence:
             if batch.lost[i]:
                 code = int(batch.lost_code[i])
                 with pytest.raises(LostRegenerationError) as err:
-                    noise_margins(pert, solver="sequential", xtol=TIGHT)
+                    reference.noise_margins(pert, xtol=TIGHT)
                 assert err.value.code == code
                 assert str(err.value) == LOST_REGENERATION_MESSAGES[code - 1]
             else:
-                seq = noise_margins(pert, solver="sequential", xtol=TIGHT)
+                seq = reference.noise_margins(pert, xtol=TIGHT)
                 assert np.allclose(float(batch.snm[i]), seq.snm,
                                    rtol=1e-9, atol=1e-9 * inverter_sub.vdd)
 
@@ -118,8 +120,7 @@ class TestMonteCarloEquivalence:
 
     def test_snm_distribution_solvers_agree(self, inverter_sub):
         batch = snm_distribution(inverter_sub, n_trials=24)
-        seq = snm_distribution(inverter_sub, n_trials=24,
-                               solver="sequential")
+        seq = reference.snm_distribution(inverter_sub, n_trials=24)
         # Default (loose) tolerances: the paths agree to solver noise.
         assert np.allclose(batch.samples, seq.samples,
                            rtol=1e-5, atol=1e-8)
@@ -129,28 +130,26 @@ class TestEnergyEquivalence:
     def test_chain_energy_sweep(self, inverter_sub):
         grid = np.geomspace(0.1, 0.6, 17)
         batch = chain_energy_sweep(inverter_sub, grid)
-        seq = np.array([
-            chain_energy_per_cycle(inverter_sub.with_vdd(float(v))).total_j
-            for v in grid
-        ])
+        seq = reference.chain_energy_sweep(inverter_sub, grid)
         assert _rel(batch, seq) <= 1e-9
 
     def test_find_vmin_solvers_agree(self, nfet90, pfet90):
         inv = Inverter(nfet=nfet90, pfet=pfet90, vdd=0.3)
         batch = find_vmin(inv)
-        seq = find_vmin(inv, solver="sequential")
+        seq = reference.find_vmin(inv)
         assert batch.vmin == pytest.approx(seq.vmin, rel=1e-9)
         assert _rel(batch.energy_grid_j, seq.energy_grid_j) <= 1e-9
 
 
 class TestSramEquivalence:
     def test_read_vtc(self, nfet90, pfet90):
-        cell = SramCell(pulldown=nfet90.with_width_um(2.0),
-                        pullup=pfet90.with_width_um(1.0),
-                        access=nfet90.with_width_um(1.0),
-                        vdd=0.30)
+        devices = dict(pulldown=nfet90.with_width_um(2.0),
+                       pullup=pfet90.with_width_um(1.0),
+                       access=nfet90.with_width_um(1.0), vdd=0.30)
+        cell = SramCell(**devices)
         vins_b, vouts_b = cell.read_vtc(61, xtol=TIGHT)
-        vins_s, vouts_s = cell.read_vtc(61, solver="sequential", xtol=TIGHT)
+        vins_s, vouts_s = reference.SramCell(**devices).read_vtc(61,
+                                                                 xtol=TIGHT)
         assert np.array_equal(vins_b, vins_s)
         assert np.max(np.abs(vouts_b - vouts_s)) <= 1e-9 * cell.vdd
 
@@ -158,8 +157,8 @@ class TestSramEquivalence:
 class TestButterflyEquivalence:
     def test_lobe_square_solvers_identical(self, inverter_sub):
         vtc = inverter_sub.vtc(161)
-        batch = butterfly_snm(vtc, solver="batch")
-        seq = butterfly_snm(vtc, solver="sequential")
+        batch = butterfly_snm(vtc)
+        seq = reference.butterfly_snm(vtc)
         assert batch == pytest.approx(seq, rel=1e-12, abs=1e-15)
 
 
@@ -169,41 +168,35 @@ class TestLostRegenerationNarrowing:
     @pytest.mark.parametrize("code", (1, 2))
     def test_structured_error_becomes_zero(self, inverter_sub, monkeypatch,
                                            code):
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
+        def fake_noise_margins(inverter):
             raise lost_regeneration_error(code)
 
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
-        result = mc.snm_distribution(inverter_sub, n_trials=5,
-                                     solver="sequential")
+        monkeypatch.setattr(reference_mc, "noise_margins",
+                            fake_noise_margins)
+        result = reference_mc.snm_distribution(inverter_sub, n_trials=5)
         assert np.all(result.samples == 0.0)
 
     def test_genuine_bug_propagates(self, inverter_sub, monkeypatch):
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
+        def fake_noise_margins(inverter):
             raise ParameterError("boom: not a regeneration loss")
 
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
+        monkeypatch.setattr(reference_mc, "noise_margins",
+                            fake_noise_margins)
         with pytest.raises(ParameterError, match="boom"):
-            mc.snm_distribution(inverter_sub, n_trials=5,
-                                solver="sequential")
+            reference_mc.snm_distribution(inverter_sub, n_trials=5)
 
     def test_same_message_plain_error_still_propagates(self, inverter_sub,
                                                        monkeypatch):
         """The old string-matching contract is gone: a plain
         ParameterError no longer silences as SNM = 0 even when its
         message happens to equal a canonical lost message."""
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
+        def fake_noise_margins(inverter):
             raise ParameterError(LOST_REGENERATION_MESSAGES[0])
 
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
+        monkeypatch.setattr(reference_mc, "noise_margins",
+                            fake_noise_margins)
         with pytest.raises(ParameterError, match="never reaches"):
-            mc.snm_distribution(inverter_sub, n_trials=5,
-                                solver="sequential")
+            reference_mc.snm_distribution(inverter_sub, n_trials=5)
 
     def test_factory_rejects_unknown_code(self):
         with pytest.raises(ParameterError, match="must be 1 or 2"):

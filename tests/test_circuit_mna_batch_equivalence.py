@@ -1,18 +1,20 @@
-"""Batch-vs-sequential equivalence of the compiled batched MNA engine.
+"""Batch-vs-reference equivalence of the compiled batched MNA engine.
 
-RPR004 coverage: every ``solver=`` switch introduced by the batched
-nodal engine and its array workloads — ``solve_dc_batch``,
-``solve_transient_batch``, ``bitline_leakage_vs_height``,
-``loaded_read_snm``, ``read_snm_vs_height``, ``write_trip_voltage``,
-``min_write_pulse``, ``gate_leakage`` and ``gate_delay`` — is pinned
-here against the scalar :class:`~repro.circuit.mna.NodalSolver`
-oracle at <= 1e-9 V (the engines share nothing past the netlist).
-Circuits are kept tiny: the oracle is three decades slower per lane.
+RPR004 coverage: the batched nodal engine and its array workloads —
+``solve_dc_batch``, ``solve_transient_batch``,
+``bitline_leakage_vs_height``, ``loaded_read_snm``,
+``read_snm_vs_height``, ``write_trip_voltage``, ``min_write_pulse``,
+``gate_leakage`` and ``gate_delay`` — are pinned here against their
+:mod:`repro.reference` twins on the scalar
+:class:`~repro.circuit.mna.NodalSolver` at <= 1e-9 V (the engines
+share nothing past the netlist).  Circuits are kept tiny: the
+reference is three decades slower per lane.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.circuit.gate_netlists import (gate_delay, gate_leakage,
                                          nand2_netlist, nor2_netlist)
 from repro.circuit.mna_batch import solve_dc_batch, solve_transient_batch
@@ -21,7 +23,6 @@ from repro.circuit.sram import SramCell
 from repro.circuit.sram_array import (bitline_leakage_vs_height,
                                       loaded_read_snm, min_write_pulse,
                                       read_snm_vs_height, write_trip_voltage)
-from repro.errors import ParameterError
 
 VDD = 0.25
 TOL_V = 1e-9
@@ -55,7 +56,7 @@ class TestDcEquivalence:
         kwargs = dict(stimulus={"vin": vins}, dvth_n_v=corners,
                       dvth_p_v=0.005)
         batch = solve_dc_batch(c, **kwargs)
-        seq = solve_dc_batch(c, solver="sequential", **kwargs)
+        seq = reference.solve_dc_batch(c, **kwargs)
         assert batch.batch_shape == (5, 2)
         assert _max_dv(batch, seq) <= TOL_V
 
@@ -63,8 +64,7 @@ class TestDcEquivalence:
         c = _inverter(nfet90, pfet90)
         vins = np.linspace(0.0, VDD, 4)
         batch = solve_dc_batch(c, stimulus={"vin": vins})
-        seq = solve_dc_batch(c, stimulus={"vin": vins},
-                             solver="sequential")
+        seq = reference.solve_dc_batch(c, stimulus={"vin": vins})
         for name in ("vdd", "vin"):
             assert np.max(np.abs(batch.source_currents_a[name]
                                  - seq.source_currents_a[name])) <= 1e-15
@@ -76,7 +76,7 @@ class TestDcEquivalence:
         c.add_inverter("i2", "qb", "q", "vdd", nfet90, pfet90)
         seeds = {"q": np.array([0.0, VDD]), "qb": np.array([VDD, 0.0])}
         batch = solve_dc_batch(c, initial=seeds)
-        seq = solve_dc_batch(c, initial=seeds, solver="sequential")
+        seq = reference.solve_dc_batch(c, initial=seeds)
         assert batch["q"][0] < 0.05 * VDD < 0.95 * VDD < batch["q"][1]
         assert _max_dv(batch, seq) <= TOL_V
 
@@ -92,8 +92,7 @@ class TestTransientEquivalence:
 
         kwargs = dict(stimulus={"vin": step}, dvth_n_v=corners)
         batch = solve_transient_batch(c, 4e-7, 2e-9, **kwargs)
-        seq = solve_transient_batch(c, 4e-7, 2e-9, solver="sequential",
-                                    **kwargs)
+        seq = reference.solve_transient_batch(c, 4e-7, 2e-9, **kwargs)
         t_b = batch.crossing_times("out", VDD / 2, rising=False)
         t_s = seq.crossing_times("out", VDD / 2, rising=False)
         assert np.all(np.isfinite(t_b))
@@ -108,8 +107,7 @@ class TestTransientEquivalence:
         c.add_capacitor("c1", "b", "0", 1e-12)
         kwargs = dict(initial={"b": 0.0}, use_initial_conditions=True)
         batch = solve_transient_batch(c, 3e-6, 2e-8, **kwargs)
-        seq = solve_transient_batch(c, 3e-6, 2e-8, solver="sequential",
-                                    **kwargs)
+        seq = reference.solve_transient_batch(c, 3e-6, 2e-8, **kwargs)
         for t_probe in (5e-7, 1e-6, 2.5e-6):
             assert batch.at("b", t_probe) == pytest.approx(
                 float(seq.at("b", t_probe)), abs=TOL_V)
@@ -119,15 +117,15 @@ class TestColumnEquivalence:
     def test_bitline_leakage_vs_height(self, cell):
         corners = np.array([-0.01, 0.01])
         batch = bitline_leakage_vs_height(cell, (2, 3), dvth_n_v=corners)
-        seq = bitline_leakage_vs_height(cell, (2, 3), dvth_n_v=corners,
-                                        solver="sequential")
+        seq = reference.bitline_leakage_vs_height(cell, (2, 3),
+                                                  dvth_n_v=corners)
         assert np.max(np.abs(batch.v_bl - seq.v_bl)) <= TOL_V
         assert np.max(np.abs(batch.i_bl_a - seq.i_bl_a)
                       / seq.i_bl_a) <= 1e-6
 
     def test_loaded_read_snm(self, cell):
         batch = loaded_read_snm(cell, 2, n_points=9)
-        seq = loaded_read_snm(cell, 2, n_points=9, solver="sequential")
+        seq = reference.loaded_read_snm(cell, 2, n_points=9)
         assert batch == pytest.approx(seq, abs=TOL_V)
 
     def test_read_snm_vs_height_is_batch_path(self, cell):
@@ -140,15 +138,14 @@ class TestColumnEquivalence:
 
     def test_write_trip_voltage(self, cell):
         batch = write_trip_voltage(cell, 2, ramp_taus=20.0, n_steps=60)
-        seq = write_trip_voltage(cell, 2, ramp_taus=20.0, n_steps=60,
-                                 solver="sequential")
+        seq = reference.write_trip_voltage(cell, 2, ramp_taus=20.0,
+                                           n_steps=60)
         assert np.isfinite(batch).all()
         assert np.max(np.abs(batch - seq)) <= 1e-6 * VDD
 
     def test_min_write_pulse(self, cell):
         batch = min_write_pulse(cell, 2, n_probes=3, n_steps=24)
-        seq = min_write_pulse(cell, 2, n_probes=3, n_steps=24,
-                              solver="sequential")
+        seq = reference.min_write_pulse(cell, 2, n_probes=3, n_steps=24)
         assert np.isfinite(batch).all()
         # The searches bisect identical brackets, so agreeing solves
         # land on identical widths.
@@ -162,19 +159,19 @@ class TestGateEquivalence:
             a = np.array([0.0, 0.0, VDD, VDD])
             b = np.array([0.0, VDD, 0.0, VDD])
             batch = gate_leakage(gate, {"a": a, "b": b})
-            seq = gate_leakage(gate, {"a": a, "b": b},
-                               solver="sequential")
+            seq = reference.gate_leakage(gate, {"a": a, "b": b})
             assert np.max(np.abs(batch - seq) / np.abs(seq)) <= 1e-6
 
     def test_gate_delay(self, nfet90, pfet90):
         gate = nand2_netlist(nfet90, pfet90, VDD)
         batch = gate_delay(gate, "b", held={"a": VDD}, n_steps=48)
-        seq = gate_delay(gate, "b", held={"a": VDD}, n_steps=48,
-                         solver="sequential")
+        seq = reference.gate_delay(gate, "b", held={"a": VDD}, n_steps=48)
         assert np.isfinite(batch)
         assert batch == pytest.approx(float(seq), rel=1e-6)
 
     def test_rejects_unknown_solver(self, nfet90, pfet90):
+        # The solver= switch is gone: the reference twin is the only
+        # other path.
         gate = nand2_netlist(nfet90, pfet90, VDD)
-        with pytest.raises(ParameterError):
-            gate_leakage(gate, solver="magic")
+        with pytest.raises(TypeError):
+            gate_leakage(gate, solver="sequential")

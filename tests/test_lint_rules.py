@@ -136,6 +136,26 @@ class TestRpr004SolverParity:
         def optimize_thing(x, solver: str = "batch"):
             return x
     """
+    PRODUCTION = """
+        def optimize_thing(x):
+            return x
+
+        class Flow:
+            def sweep(self, x):
+                return x
+    """
+    REFERENCE = """
+        def optimize_thing(x):
+            return x
+
+        class Flow:
+            sweep = staticmethod(optimize_thing)
+    """
+    SUITE = """
+        def test_parity():
+            assert optimize_thing(1) == reference.optimize_thing(1)
+            assert Flow().sweep(1) == reference.Flow().sweep(1)
+    """
 
     def test_flags_uncovered_solver_switch(self, tmp_path):
         report = lint_fixture(tmp_path, {
@@ -144,21 +164,45 @@ class TestRpr004SolverParity:
 
     def test_equivalence_coverage_satisfies(self, tmp_path):
         report = lint_fixture(tmp_path, {
-            "src/repro/scaling/x.py": self.SOLVER_FUNC,
-            "tests/test_fake_equivalence.py": """
-                def test_parity():
-                    assert optimize_thing(1) == optimize_thing(
-                        1, solver="sequential")
-            """})
+            "src/repro/scaling/x.py": self.PRODUCTION,
+            "src/repro/reference/x.py": self.REFERENCE,
+            "tests/test_fake_equivalence.py": self.SUITE})
         assert active_ids(report) == []
 
     def test_flags_noncanonical_default(self, tmp_path):
-        report = lint_fixture(tmp_path, {"src/repro/scaling/x.py": """
-            def optimize_thing(x, solver: str = "fast"):
-                return x
-        """})
+        # A solver switch is flagged whatever its default, and even
+        # when an equivalence suite exercises it.
+        report = lint_fixture(tmp_path, {
+            "src/repro/scaling/x.py": """
+                def optimize_thing(x, *, solver: str = "fast"):
+                    return x
+            """,
+            "tests/test_fake_equivalence.py": self.SUITE})
         assert active_ids(report) == ["RPR004"]
-        assert "canonical backends" in report.active[0].message
+        assert "repro.reference" in report.active[0].message
+
+    def test_flags_reference_without_equivalence_suite(self, tmp_path):
+        report = lint_fixture(tmp_path, {
+            "src/repro/scaling/x.py": self.PRODUCTION,
+            "src/repro/reference/x.py": self.REFERENCE})
+        assert active_ids(report) == ["RPR004"] * 3
+        assert all("equivalence" in f.message for f in report.active)
+
+    def test_flags_reference_without_production_twin(self, tmp_path):
+        report = lint_fixture(tmp_path, {
+            "src/repro/scaling/x.py": """
+                def optimize_thing(x):
+                    return x
+
+                class Flow:
+                    def optimize(self):
+                        return 1
+            """,
+            "src/repro/reference/x.py": self.REFERENCE,
+            "tests/test_fake_equivalence.py": self.SUITE})
+        assert active_ids(report) == ["RPR004"]
+        assert "reference Flow.sweep has no production twin" in (
+            report.active[0].message)
 
 
 class TestRpr005UnitSuffix:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro import perf
+from repro import perf, reference
 from repro.device import nfet
 from repro.tcad.simulator import DeviceSimulator
 
@@ -49,7 +49,7 @@ class TestInstrumentation:
     def test_sequential_solves_counted(self):
         dev = nfet(l_poly_nm=65, t_ox_nm=2.1, n_sub_cm3=1.2e18,
                    n_p_halo_cm3=1.5e18)
-        sim = DeviceSimulator(dev, solver="sequential")
+        sim = reference.DeviceSimulator(dev)
         perf.reset()
         sim.surface_potential_sweep(np.linspace(0.0, 1.0, 7))
         assert perf.get("poisson.solves") == 7
@@ -57,10 +57,8 @@ class TestInstrumentation:
 
     def test_brentq_residuals_counted(self):
         from repro.scaling.roadmap import roadmap_nodes
-        from repro.scaling.supervth import SuperVthOptimizer
         perf.reset()
-        SuperVthOptimizer(roadmap_nodes()[0]).solve_substrate(
-            solver="sequential")
+        reference.SuperVthOptimizer(roadmap_nodes()[0]).solve_substrate()
         assert perf.get("optimizer.brentq_residual_evals") > 2
         assert perf.get("scaling.doping_batch_solves") == 0
 

@@ -1,15 +1,16 @@
-"""Batch vs sequential equivalence for the scaling-flow optimizers.
+"""Batch vs reference equivalence for the scaling-flow optimizers.
 
 The batched design-space engine (:mod:`repro.scaling.batch`) must
-reproduce the scalar flows to <= 1e-9 relative on every design knob and
-reported metric, across all roadmap nodes, for both strategies.  The
-scalar paths are the correctness oracles; these tests are what allows
-``solver="batch"`` to be the default.
+reproduce the scalar flows of :mod:`repro.reference` to <= 1e-9
+relative on every design knob and reported metric, across all roadmap
+nodes, for both strategies.  These tests are what allows the batched
+engine to be the only production path.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.device.batch import ParameterStack, device_metrics
 from repro.device.mosfet import Polarity, nfet, pfet
 from repro.scaling.roadmap import roadmap_nodes
@@ -76,17 +77,16 @@ class TestSuperVthEquivalence:
                              ids=lambda n: n.name)
     @pytest.mark.parametrize("polarity", [Polarity.NFET, Polarity.PFET])
     def test_optimize(self, node, polarity):
-        opt = SuperVthOptimizer(node, polarity,
-                                width_um=2.0 if polarity is Polarity.PFET
-                                else 1.0)
-        _assert_devices_match(opt.optimize(solver="batch"),
-                              opt.optimize(solver="sequential"),
-                              node.vdd_nominal)
+        width = 2.0 if polarity is Polarity.PFET else 1.0
+        _assert_devices_match(
+            SuperVthOptimizer(node, polarity, width_um=width).optimize(),
+            reference.SuperVthOptimizer(node, polarity,
+                                        width_um=width).optimize(),
+            node.vdd_nominal)
 
     def test_family(self):
         fam_b = build_super_vth_family(include_130nm=True)
-        fam_s = build_super_vth_family(include_130nm=True,
-                                       solver="sequential")
+        fam_s = reference.build_super_vth_family(include_130nm=True)
         for des_b, des_s in zip(fam_b.designs, fam_s.designs):
             vdd = des_b.node.vdd_nominal
             _assert_devices_match(des_b.nfet, des_s.nfet, vdd)
@@ -101,24 +101,23 @@ class TestSubVthEquivalence:
         for polarity in (Polarity.NFET, Polarity.PFET):
             batch_dev = optimize_doping_for_length(
                 node, l_poly, polarity=polarity,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver="batch")
-            seq_dev = optimize_doping_for_length(
+                vdd_leak=SUB_VTH_EVAL_VDD)
+            seq_dev = reference.optimize_doping_for_length(
                 node, l_poly, polarity=polarity,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver="sequential")
+                vdd_leak=SUB_VTH_EVAL_VDD)
             _assert_devices_match(batch_dev, seq_dev, SUB_VTH_EVAL_VDD)
 
     def test_optimizer_and_family(self):
         fam_b = build_sub_vth_family()
-        fam_s = build_sub_vth_family(solver="sequential")
+        fam_s = reference.build_sub_vth_family()
         for des_b, des_s in zip(fam_b.designs, fam_s.designs):
             _assert_devices_match(des_b.nfet, des_s.nfet, SUB_VTH_EVAL_VDD)
             _assert_devices_match(des_b.pfet, des_s.pfet, SUB_VTH_EVAL_VDD)
 
     def test_sweep_rows_match(self):
         node = roadmap_nodes()[1]
-        opt = SubVthOptimizer(node, n_length_points=5)
-        rows_b = opt.sweep(solver="batch")
-        rows_s = opt.sweep(solver="sequential")
+        rows_b = SubVthOptimizer(node, n_length_points=5).sweep()
+        rows_s = reference.SubVthOptimizer(node, n_length_points=5).sweep()
         for (l_b, des_b, e_b), (l_s, des_s, e_s) in zip(rows_b, rows_s):
             assert l_b == l_s
             assert e_b == pytest.approx(e_s, rel=RTOL)

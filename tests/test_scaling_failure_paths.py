@@ -1,4 +1,5 @@
-"""Failure-path coverage for both scaling flows, on both solvers.
+"""Failure-path coverage for both scaling flows, on the batched engine
+and on its scalar twin in :mod:`repro.reference`.
 
 Every ``OptimizationError`` branch the optimizers can take — leakage
 budget unreachable from above or below, halo-cannot-rescue, and the
@@ -8,7 +9,7 @@ root-device reuse guarantee (no rebuild after the root solve).
 
 import pytest
 
-from repro import perf
+from repro import perf, reference
 from repro.device.mosfet import Polarity
 from repro.errors import OptimizationError
 from repro.scaling import subvth as subvth_mod
@@ -18,6 +19,12 @@ from repro.scaling.subvth import SubVthOptimizer, optimize_doping_for_length
 from repro.scaling.supervth import SuperVthOptimizer
 
 SOLVERS = ("batch", "sequential")
+#: The optimiser classes and doping solve of each engine, by test id.
+SUPER = {"batch": SuperVthOptimizer,
+         "sequential": reference.SuperVthOptimizer}
+SUB = {"batch": SubVthOptimizer, "sequential": reference.SubVthOptimizer}
+DOPING = {"batch": optimize_doping_for_length,
+          "sequential": reference.optimize_doping_for_length}
 
 #: A 90nm-like node whose leakage budget is absurdly loose: even the
 #: minimum doping leaks less than the target, so the budget binds from
@@ -35,27 +42,27 @@ class TestSuperVthFailures:
     def test_budget_unreachable_from_above(self, solver):
         with pytest.raises(OptimizationError,
                            match="budget unreachable from above"):
-            SuperVthOptimizer(LOOSE_NODE).solve_substrate(solver=solver)
+            SUPER[solver](LOOSE_NODE).solve_substrate()
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_budget_unreachable_from_below(self, solver):
         with pytest.raises(OptimizationError,
                            match="cannot meet leakage budget"):
-            SuperVthOptimizer(TIGHT_NODE).solve_substrate(solver=solver)
+            SUPER[solver](TIGHT_NODE).solve_substrate()
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_halo_cannot_rescue(self, solver):
-        opt = SuperVthOptimizer(HALO_HOPELESS_NODE)
-        n_sub = opt.solve_substrate(solver=solver)
+        opt = SUPER[solver](HALO_HOPELESS_NODE)
+        n_sub = opt.solve_substrate()
         with pytest.raises(OptimizationError,
                            match="halo cannot rescue"):
-            opt.solve_halo(n_sub, solver=solver)
+            opt.solve_halo(n_sub)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_optimize_propagates_halo_failure(self, solver):
         with pytest.raises(OptimizationError,
                            match="halo cannot rescue"):
-            SuperVthOptimizer(HALO_HOPELESS_NODE).optimize(solver=solver)
+            SUPER[solver](HALO_HOPELESS_NODE).optimize()
 
 
 class TestSubVthFailures:
@@ -65,8 +72,7 @@ class TestSubVthFailures:
     def test_no_doping_meets_target(self, solver, target):
         node = roadmap_nodes()[0]
         with pytest.raises(OptimizationError, match="no doping meets"):
-            optimize_doping_for_length(node, node.l_poly_nm,
-                                       ioff_target=target, solver=solver)
+            DOPING[solver](node, node.l_poly_nm, ioff_target=target)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_energy_factor_still_falling_at_range_end(self, solver,
@@ -75,10 +81,10 @@ class TestSubVthFailures:
         # decreasing at the top of the grid: the optimiser must refuse
         # rather than silently return an edge design.
         monkeypatch.setattr(subvth_mod, "LENGTH_RANGE", (1.0, 1.08))
-        opt = SubVthOptimizer(roadmap_nodes()[2], n_length_points=4)
+        opt = SUB[solver](roadmap_nodes()[2], n_length_points=4)
         with pytest.raises(OptimizationError,
                            match="still flat/falling"):
-            opt.optimize(solver=solver)
+            opt.optimize()
 
 
 class TestRootDeviceReuse:
@@ -116,7 +122,7 @@ class TestRootDeviceReuse:
         built = self._count_builds(supervth_mod, monkeypatch)
         node = roadmap_nodes()[0]
         perf.reset()
-        dev = SuperVthOptimizer(node).optimize(solver="sequential")
+        dev = reference.SuperVthOptimizer(node).optimize()
         evals = perf.get("optimizer.brentq_residual_evals")
         assert evals > 4
         assert len(built) == evals

@@ -364,3 +364,55 @@ class TestHttpTransport:
                                     b"GET /nope HTTP/1.1\r\n\r\n")
         assert "404 Not Found" in head
         assert body["error"] == "bad_request"
+
+    @staticmethod
+    def _responses(service, raw: bytes) -> list[tuple[str, dict]]:
+        """Every framed response on the connection, in order."""
+        writer = _CollectingWriter()
+        writer.close = lambda: None
+
+        async def drive():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            await _handle_http_client(service, reader, writer)
+
+        asyncio.run(drive())
+        stream = b"".join(writer.chunks)
+        responses = []
+        while stream:
+            head, _sep, rest = stream.partition(b"\r\n\r\n")
+            fields = dict(line.split(": ", 1)
+                          for line in head.decode().split("\r\n")[1:])
+            size = int(fields["Content-Length"])
+            responses.append((head.decode(), json.loads(rest[:size])))
+            stream = rest[size:]
+        return responses
+
+    def test_oversize_body_is_413_and_closes(self, service):
+        payload = json.dumps({"query": "metrics", **IN_HULL}).encode()
+        valid = (b"POST /query HTTP/1.1\r\nContent-Length: "
+                 + str(len(payload)).encode() + b"\r\n\r\n" + payload)
+        oversize = (b"POST /query HTTP/1.1\r\nContent-Length: "
+                    + str((1 << 20) + 1).encode() + b"\r\n\r\n"
+                    + payload)
+        responses = self._responses(service, valid + oversize + valid)
+        assert len(responses) == 2
+        (head_ok, body_ok), (head_big, body_big) = responses
+        assert "200 OK" in head_ok and body_ok["ok"] is True
+        assert "413 Payload Too Large" in head_big
+        assert "Connection: close" in head_big
+        assert body_big["error"] == "bad_request"
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5", b"1e3", b"9" * 5000],
+                             ids=["letters", "negative", "exponent",
+                                  "huge"])
+    def test_malformed_or_huge_content_length(self, service, value):
+        payload = json.dumps({"query": "info"}).encode()
+        raw = (b"POST /query HTTP/1.1\r\nContent-Length: " + value
+               + b"\r\n\r\n" + payload)
+        [(head, body)] = self._responses(service, raw + raw)
+        status = "413" if value.isdigit() else "400"
+        assert f"HTTP/1.1 {status}" in head
+        assert body["ok"] is False and body["error"] == "bad_request"
+

@@ -1,18 +1,19 @@
-"""``solver=`` parity for the flow-level entry points (lint rule RPR004).
+"""Reference parity for the flow-level entry points (lint rule RPR004).
 
-PRs 1-4 proved the batched *kernels* against their scalar oracles;
-this suite closes the contract for the remaining public callables that
-expose a ``solver=`` switch: the SRAM butterfly SNMs, the chain
-minimum-energy point, the RDF delay distribution, the per-length and
-per-flavour doping solves, the two super-V_th root solves, and the
-calibration-perturbed headline rebuild.  ``repro lint`` statically
-requires every such callable to appear here (or in a sibling
+The kernel suites prove the batched kernels against their scalar
+twins; this suite closes the contract for the flows built on them:
+the SRAM butterfly SNMs, the chain minimum-energy point, the RDF delay
+distribution, the per-length and per-flavour doping solves, the two
+super-V_th root solves, and the calibration-perturbed headline
+rebuild.  ``repro lint`` statically requires every public name in
+:mod:`repro.reference` to appear here (or in a sibling
 ``test_*equivalence*`` suite).
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.circuit.chain import InverterChain
 from repro.circuit.inverter import Inverter
 from repro.circuit.sram import SramCell, hold_snm, read_snm
@@ -44,8 +45,8 @@ class TestCircuitFlowParity:
                         pullup=pfet90.with_width_um(1.0),
                         access=nfet90.with_width_um(1.0),
                         vdd=0.30)
-        batch = hold_snm(cell, n_points=121, solver="batch")
-        seq = hold_snm(cell, n_points=121, solver="sequential")
+        batch = hold_snm(cell, n_points=121)
+        seq = reference.hold_snm(cell, n_points=121)
         assert batch == pytest.approx(seq, rel=1e-6, abs=1e-9)
 
     def test_read_snm(self, nfet90, pfet90):
@@ -53,23 +54,22 @@ class TestCircuitFlowParity:
                         pullup=pfet90.with_width_um(1.0),
                         access=nfet90.with_width_um(1.0),
                         vdd=0.30)
-        batch = read_snm(cell, n_points=121, solver="batch")
-        seq = read_snm(cell, n_points=121, solver="sequential")
+        batch = read_snm(cell, n_points=121)
+        seq = reference.read_snm(cell, n_points=121)
         assert batch == pytest.approx(seq, rel=1e-6, abs=1e-9)
 
     def test_minimum_energy_point(self, nfet90, pfet90):
-        chain = InverterChain(Inverter(nfet=nfet90, pfet=pfet90, vdd=0.3))
-        batch = chain.minimum_energy_point(solver="batch")
-        seq = chain.minimum_energy_point(solver="sequential")
+        stage = Inverter(nfet=nfet90, pfet=pfet90, vdd=0.3)
+        batch = InverterChain(stage).minimum_energy_point()
+        seq = reference.InverterChain(stage).minimum_energy_point()
         assert batch.vmin == pytest.approx(seq.vmin, rel=RTOL)
         assert batch.energy.total_j == pytest.approx(
             seq.energy.total_j, rel=RTOL)
 
     def test_delay_distribution(self, inverter_sub):
-        batch = delay_distribution(inverter_sub, n_trials=64, seed=11,
-                                   solver="batch")
-        seq = delay_distribution(inverter_sub, n_trials=64, seed=11,
-                                 solver="sequential")
+        batch = delay_distribution(inverter_sub, n_trials=64, seed=11)
+        seq = reference.delay_distribution(inverter_sub, n_trials=64,
+                                           seed=11)
         assert np.allclose(batch.samples, seq.samples, rtol=1e-12)
         assert batch.sigma_over_mean == pytest.approx(
             seq.sigma_over_mean, rel=1e-9)
@@ -79,33 +79,33 @@ class TestScalingFlowParity:
     def test_solve_substrate_and_halo(self):
         node = node_by_name("45nm")
         opt = SuperVthOptimizer(node, Polarity.NFET, width_um=1.0)
-        n_sub_b = opt.solve_substrate(solver="batch")
-        n_sub_s = opt.solve_substrate(solver="sequential")
+        ref = reference.SuperVthOptimizer(node, Polarity.NFET, width_um=1.0)
+        n_sub_b = opt.solve_substrate()
+        n_sub_s = ref.solve_substrate()
         assert n_sub_b == pytest.approx(n_sub_s, rel=RTOL)
-        halo_b = opt.solve_halo(n_sub_b, solver="batch")
-        halo_s = opt.solve_halo(n_sub_b, solver="sequential")
+        halo_b = opt.solve_halo(n_sub_b)
+        halo_s = ref.solve_halo(n_sub_b)
         assert halo_b == pytest.approx(halo_s, rel=RTOL)
 
     def test_build_super_vth_design(self):
         node = node_by_name("65nm")
-        des_b = build_super_vth_design(node, solver="batch")
-        des_s = build_super_vth_design(node, solver="sequential")
+        des_b = build_super_vth_design(node)
+        des_s = reference.build_super_vth_design(node)
         _assert_devices_match(des_b.nfet, des_s.nfet)
         _assert_devices_match(des_b.pfet, des_s.pfet)
 
     def test_design_for_length(self):
         node = node_by_name("45nm")
-        opt = SubVthOptimizer(node)
         l_poly = 1.6 * node.l_poly_nm
-        des_b = opt.design_for_length(l_poly, solver="batch")
-        des_s = opt.design_for_length(l_poly, solver="sequential")
+        des_b = SubVthOptimizer(node).design_for_length(l_poly)
+        des_s = reference.SubVthOptimizer(node).design_for_length(l_poly)
         _assert_devices_match(des_b.nfet, des_s.nfet)
         _assert_devices_match(des_b.pfet, des_s.pfet)
 
     def test_derive_flavours(self):
         node = node_by_name("45nm")
-        menu_b = derive_flavours(node, 47.0, solver="batch")
-        menu_s = derive_flavours(node, 47.0, solver="sequential")
+        menu_b = derive_flavours(node, 47.0)
+        menu_s = reference.derive_flavours(node, 47.0)
         assert menu_b.keys() == menu_s.keys()
         for name in menu_b:
             _assert_devices_match(menu_b[name].design.nfet,
@@ -116,10 +116,8 @@ class TestScalingFlowParity:
                 menu_s[name].vth_mv(), rel=1e-6)
 
     def test_headline_under_calibration(self):
-        batch = headline_under_calibration(overlap_fraction=0.32,
-                                           solver="batch")
-        seq = headline_under_calibration(overlap_fraction=0.32,
-                                         solver="sequential")
+        batch = headline_under_calibration(overlap_fraction=0.32)
+        seq = reference.headline_under_calibration(overlap_fraction=0.32)
         assert batch.snm_advantage == pytest.approx(
             seq.snm_advantage, rel=1e-6, abs=1e-9)
         assert batch.energy_advantage == pytest.approx(

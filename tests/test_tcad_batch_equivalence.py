@@ -1,16 +1,18 @@
-"""Batched vs sequential DeviceSimulator: extracted metrics must agree.
+"""Batched vs reference DeviceSimulator: extracted metrics must agree.
 
 The acceptance bar for the batch kernel: on real (Table 2-optimised)
 devices, the metrics the experiments actually consume — S_S, V_th,
-I_on, I_off — match the warm-started sequential path to <= 1e-9
-relative.  Both paths converge each bias to the same fixed point, so
-any disagreement beyond solver tolerance is an indexing or assembly
-bug in the batch kernel.
+I_on, I_off — match the warm-started bias-by-bias
+:class:`repro.reference.DeviceSimulator` to <= 1e-9 relative.  Both
+paths converge each bias to the same fixed point, so any disagreement
+beyond solver tolerance is an indexing or assembly bug in the batch
+kernel.
 """
 
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.tcad.extract import extract_ss, extract_vth_constant_current
 from repro.tcad.simulator import DeviceSimulator
 
@@ -33,8 +35,8 @@ def _metrics(sim: DeviceSimulator, vdd: float) -> dict[str, float]:
 def test_batched_id_vg_matches_sequential(node, super_family):
     design = super_family.design(node)
     vdd = design.node.vdd_nominal
-    batch = _metrics(DeviceSimulator(design.nfet, solver="batch"), vdd)
-    seq = _metrics(DeviceSimulator(design.nfet, solver="sequential"), vdd)
+    batch = _metrics(DeviceSimulator(design.nfet), vdd)
+    seq = _metrics(reference.DeviceSimulator(design.nfet), vdd)
     for name in ("S_S", "V_th", "I_on", "I_off"):
         assert batch[name] == pytest.approx(seq[name], rel=REL_TOL), name
 
@@ -42,8 +44,8 @@ def test_batched_id_vg_matches_sequential(node, super_family):
 def test_batched_sweeps_match_sequential(super_family):
     dev = super_family.design("90nm").nfet
     vgs = np.linspace(-0.2, 1.2, 23)
-    batched = DeviceSimulator(dev, solver="batch")
-    sequential = DeviceSimulator(dev, solver="sequential")
+    batched = DeviceSimulator(dev)
+    sequential = reference.DeviceSimulator(dev)
     assert batched.surface_potential_sweep(vgs) == pytest.approx(
         sequential.surface_potential_sweep(vgs), rel=REL_TOL, abs=1e-12)
     assert batched.inversion_charge_sweep(vgs, 0.3) == pytest.approx(
@@ -53,6 +55,6 @@ def test_batched_sweeps_match_sequential(super_family):
 def test_batched_id_vd_matches_sequential(super_family):
     dev = super_family.design("90nm").nfet
     vds = np.linspace(0.0, 1.2, 13)
-    batched = DeviceSimulator(dev, solver="batch").id_vd(0.9, vds)
-    sequential = DeviceSimulator(dev, solver="sequential").id_vd(0.9, vds)
+    batched = DeviceSimulator(dev).id_vd(0.9, vds)
+    sequential = reference.DeviceSimulator(dev).id_vd(0.9, vds)
     assert batched == pytest.approx(sequential, rel=REL_TOL)

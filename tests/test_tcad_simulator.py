@@ -79,8 +79,10 @@ class TestConfiguration:
             DeviceSimulator(dev, n_nodes=5)
 
     def test_rejects_unknown_solver(self, dev):
-        with pytest.raises(ParameterError):
-            DeviceSimulator(dev, solver="quantum")
+        # The solver field is gone: repro.reference.DeviceSimulator is
+        # the only other path.
+        with pytest.raises(TypeError):
+            DeviceSimulator(dev, solver="sequential")
 
     def test_finer_mesh_consistent(self, dev):
         coarse = DeviceSimulator(dev, n_nodes=81).numeric_ss()

@@ -36,22 +36,16 @@ The numerical hot paths are batched and cached at three layers:
   per-bias tridiagonal Jacobians are stacked into one block-diagonal
   banded system and factorised by a single LAPACK call per iteration,
   with a convergence mask retiring finished biases.
-  `DeviceSimulator` uses it by default (``solver="batch"``); pass
-  ``solver="sequential"`` for the warm-started scalar path, which is
-  kept as the correctness oracle (see
-  `tests/test_tcad_batch_equivalence.py`).
+  `DeviceSimulator` runs every sweep through it.
 - **Batched circuit kernels.** `repro.circuit.solve_vtc_batch` solves
   the inverter current-balance equation for whole arrays of input
   voltages *and* (ΔV_th,n, ΔV_th,p) perturbation pairs by masked
   vectorised bisection; `repro.circuit.noise_margins_batch` extracts
   every trial's gain = −1 noise margins through staged batched grid
   refinement, and `repro.circuit.analytic_delay_batch` /
-  `repro.circuit.chain_energy_sweep` vectorise the Eq. 4/7 paths.
-  Every consumer (`noise_margins`, `butterfly_snm`, `Inverter.vtc`,
-  `SramCell.read_vtc`, `find_vmin`, the Monte Carlo distributions)
-  takes the same ``solver="batch"`` / ``"sequential"`` switch as
-  `DeviceSimulator`, with the scalar implementations kept as
-  correctness oracles (see `tests/test_circuit_batch_equivalence.py`).
+  `repro.circuit.chain_energy_sweep` vectorise the Eq. 4/7 paths for
+  every consumer (`noise_margins`, `butterfly_snm`, `Inverter.vtc`,
+  `SramCell.read_vtc`, `find_vmin`, the Monte Carlo distributions).
 - **Batched design-space engine.** `repro.scaling.batch` replaces the
   per-(length, halo-ratio, polarity) scalar `brentq` loops of the
   scaling flows with one masked vectorised bracketing solve in
@@ -62,12 +56,15 @@ The numerical hot paths are batched and cached at three layers:
   halo ratio / length bucket / target / calibration constants) shrinks
   repeat solves within a flow invocation to a ±0.3-decade bracket;
   every top-level flow entry starts cold so results are independent
-  of run order.  `SuperVthOptimizer`,
-  `SubVthOptimizer`, `optimize_doping_for_length`,
-  `derive_flavours`, and the family builders take the same
-  ``solver="batch"`` / ``"sequential"`` switch, with the scalar path
-  kept as the correctness oracle
-  (see `tests/test_scaling_batch_equivalence.py`).
+  of run order.  `SuperVthOptimizer`, `SubVthOptimizer`,
+  `optimize_doping_for_length`, `derive_flavours`, and the family
+  builders all run on it.
+- **Reference implementations.** Each engine has one public entry
+  point.  The scalar code the engines replaced lives in
+  `repro.reference` under the production names; the
+  `tests/test_*equivalence*.py` suites compare `reference.f` against
+  `f`, and lint rule RPR004 enforces the pairing.  No production
+  module imports `repro.reference`.
 - **Device construction memo.** `repro.device.nfet` / `pfet` memoise
   construction on the full parameter tuple (including the calibration
   constants, so `repro.scaling.sensitivity.calibration` overrides
@@ -103,7 +100,7 @@ catalogue (`repro.lint.rule_catalogue`):
 | RPR001 | no float-literal `==`/`!=` — int sentinel `0` or `isclose` |
 | RPR002 | no bare/broad `except` without re-raise in library code |
 | RPR003 | no wall-clock/global-RNG nondeterminism hazards; only seeded `np.random.Generator`/`SeedSequence` flows |
-| RPR004 | every public `solver=` switch defaults to `"batch"`/`"sequential"` and is pinned by a `tests/test_*equivalence*.py` suite |
+| RPR004 | every public `repro.reference` name has a production twin of the same name and is referenced by a `tests/test_*equivalence*.py` suite; no production function takes a `solver` parameter |
 | RPR005 | float params/fields in `device`/`tcad`/`circuit` carry SI-unit suffixes cross-checked against `repro.units` |
 | RPR006 | perf-counter names come from `repro.perf.KNOWN_COUNTERS` (or a registered dynamic prefix) |
 | RPR007 | every registered experiment is referenced by a `benchmarks/test_bench_*.py` module |
