@@ -179,6 +179,38 @@ def test_bench_corner_stack_sequential(benchmark):
     benchmark.extra_info["max_rel_diff_vs_batch"] = rel
 
 
+# -- one VTC balance evaluation ---------------------------------------------
+#
+# The current balance the batched bisection evaluates once per sweep, at
+# the two lane counts that matter: <= 260 lanes is every call the design
+# grid (and the service's exact tier) makes, ~4160 is the tail of the
+# yield engine's calls.  One balance call is ~0.05-0.3 ms, so these time
+# many rounds and report the per-call mean.
+
+
+def _balance_bench(benchmark, lanes):
+    from repro.circuit.batch import _VtcSystem
+    inv = _build_inverter()
+    rng = np.random.default_rng(lanes)
+    system = _VtcSystem(inv, rng.uniform(0.0, inv.vdd, lanes),
+                        rng.normal(0.0, 0.03, lanes),
+                        rng.normal(0.0, 0.03, lanes))
+    vout = rng.uniform(0.0, inv.vdd, lanes)
+    idx = np.arange(lanes)
+    balance = benchmark.pedantic(system.balance, args=(vout, idx),
+                                 rounds=200, iterations=5, warmup_rounds=20)
+    assert balance.shape == (lanes,)
+    assert np.array_equal(balance, system.balance(vout)[idx])
+
+
+def test_bench_vtc_balance_260(benchmark):
+    _balance_bench(benchmark, 260)
+
+
+def test_bench_vtc_balance_4160(benchmark):
+    _balance_bench(benchmark, 4160)
+
+
 def test_bench_butterfly_batch(benchmark):
     inv = _build_inverter()
     vtc = inv.vtc(161)

@@ -16,12 +16,11 @@ already signed at a rail) retire from the active mask immediately and
 every other point bisects until its bracket falls below ``xtol``,
 mirroring the Poisson batch kernel's convergence mask.
 
-Both devices of every point are evaluated in one fused array pass:
-the NFET and PFET legs share the same EKV expression tree, so their
-per-point parameters (V_th0 + offset, slope factor, DIBL
-coefficients, I_spec, velocity-saturation factors) are stacked into
-length-2n arrays and a balance evaluation costs a fixed ~50 numpy ops
-regardless of batch size.
+Both devices of every point are evaluated in one fused call of the
+EKV kernel (:func:`repro.device.ekv.ids`): the per-device constants
+stay ``(2, 1)`` columns, and only the per-point ``V_gs``, ``I_spec``
+and ``V_th0`` + offset are gathered, so a balance evaluation costs a
+fixed ~45 numpy ops regardless of batch size.
 
 The gain = -1 crossings of :func:`noise_margins_batch` are located by
 the same 101-point scan as the scalar path, then refined by staged
@@ -43,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import perf
-from ..constants import thermal_voltage
-from ..device.iv import _ekv_f
+from ..device import ekv
 from ..errors import LostRegenerationError, ParameterError
 from ..numerics import bisect_masked
 
@@ -103,72 +101,43 @@ def solve_balance_batch(balance, lo, hi, xtol: float = XTOL_DEFAULT
 class _VtcSystem:
     """Fused NFET+PFET balance evaluator for one batch of VTC points.
 
-    Per-point device parameters are stacked into length-2n arrays
-    (NFET leg first) so a balance evaluation is one pass of elementwise
-    numpy ops; the arithmetic reproduces :meth:`IVModel.ids` term for
-    term, so batch and scalar paths agree to root-finder tolerance.
+    Both legs go through the EKV kernel :func:`repro.device.ekv.ids`
+    in one call: the per-device constants form a two-row card of
+    ``(2, 1)`` columns (NFET row first), and the only per-point inputs
+    — ``V_gs``, ``I_spec`` (fixed per point, so computed once here) and
+    ``V_th0`` plus offset — live in one ``(3, 2, n)`` block that a
+    gathered balance call takes with a single ``np.take``.
     """
 
     def __init__(self, inverter, vin: np.ndarray,
                  dvth_n: np.ndarray, dvth_p: np.ndarray) -> None:
         vdd = inverter.vdd
-        n = vin.size
         self.vdd = vdd
-        self.n = n
-        pieces: dict[str, list[np.ndarray]] = {}
-        for iv, vgs, dvth in ((inverter.nfet.iv, vin, dvth_n),
-                              (inverter.pfet.iv, vdd - vin, dvth_p)):
-            vt = thermal_voltage(iv.temperature_k)
-            leg = {
-                "vgs": vgs,
-                "ispec": np.asarray(iv.i_spec(vgs), dtype=float),
-                "vth0": (iv._vth0 + iv.vth_offset_v) + dvth,
-                "m": iv._m,
-                "b": iv._sce_barrier,
-                "twob": 2.0 * iv._sce_barrier,
-                "e1": iv._sce_e1,
-                "e2": iv._sce_e2,
-                "vt": vt,
-                "twovt": 2.0 * vt,
-                "mu": iv.mobility.low_field(iv._n_eff),
-                "vsat_leff": iv.mobility.vsat() * iv.geometry.l_eff_cm,
-            }
-            for key, value in leg.items():
-                arr = np.broadcast_to(np.asarray(value, dtype=float), (n,))
-                pieces.setdefault(key, []).append(arr)
-        for key, (n_arr, p_arr) in pieces.items():
-            setattr(self, key, np.concatenate([n_arr, p_arr]))
+        legs = ((inverter.nfet.iv.card, vin, dvth_n),
+                (inverter.pfet.iv.card, vdd - vin, dvth_p))
+        self.card = ekv.DeviceCard(*(
+            np.array([[n_value], [p_value]])
+            for n_value, p_value in zip(legs[0][0], legs[1][0])))
+        self.lanes = np.empty((3, 2, vin.size))
+        for row, (card, vgs, dvth) in enumerate(legs):
+            self.lanes[0, row] = vgs
+            self.lanes[1, row] = ekv.specific_current_a(card, vgs)
+            self.lanes[2, row] = card.vth0_v + dvth
 
     def balance(self, vout: np.ndarray, idx=None) -> np.ndarray:
         """``I_N - I_P`` at each point's candidate output voltage.
 
         With ``idx`` (the root-solve core's gathered-lane indices) only
-        those points' stacked NFET/PFET legs are evaluated; the
-        arithmetic is elementwise, so the gathered result matches the
-        corresponding lanes of a full evaluation bitwise.
+        those points' legs are evaluated; the arithmetic is
+        elementwise, so the gathered result matches the corresponding
+        lanes of a full evaluation bitwise.
         """
-        if idx is None:
-            sel: slice | np.ndarray = slice(None)
-            k = self.n
-        else:
-            sel = np.concatenate([idx, idx + self.n])
-            k = idx.shape[0]
-        vds = np.concatenate([np.maximum(vout, 0.0),
-                              np.maximum(self.vdd - vout, 0.0)])
-        b = self.b[sel]
-        dv = ((self.twob[sel] + vds) * self.e1[sel]
-              + 2.0 * np.sqrt(b * (b + vds)) * self.e2[sel])
-        vth = self.vth0[sel] - dv
-        vp = (self.vgs[sel] - vth) / self.m[sel]
-        i_f = _ekv_f(vp / self.vt[sel])
-        i_r = _ekv_f((vp - vds) / self.vt[sel])
-        current = self.ispec[sel] * (i_f - i_r)
-        severity = i_f / (1.0 + i_f)
-        v_drive = np.maximum(vp, self.twovt[sel])
-        v_dsat = vds * v_drive / (vds + v_drive + 1e-12)
-        vsat_term = (self.mu[sel] * v_dsat) / self.vsat_leff[sel]
-        current = current / (1.0 + severity * vsat_term)
-        return current[:k] - current[k:]
+        lanes = self.lanes if idx is None else np.take(self.lanes, idx,
+                                                       axis=2)
+        current = ekv.ids(self.card._replace(vth0_v=lanes[2]), lanes[0],
+                          np.array((vout, self.vdd - vout)),
+                          ispec_a=lanes[1])
+        return current[0] - current[1]
 
 
 def _broadcast_inputs(vin, dvth_n, dvth_p):

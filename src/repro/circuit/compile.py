@@ -14,9 +14,9 @@ batch lane with a few vectorised calls:
 * dense linear stamp matrices for resistors and capacitors (residual
   contribution is one matmul; their Jacobian block is constant);
 * transistors grouped by shared device model, each group carrying
-  per-terminal full-vector indices plus residual-row / Jacobian-column
-  maps (fixed nodes dump into a discard row/column), so one
-  ``device.ids`` call evaluates a whole group across all lanes.
+  per-terminal full-vector indices plus the flat Jacobian cells of
+  its partials (fixed nodes dump into a discard row/column), so one
+  kernel call evaluates a whole group across all lanes.
 
 Compilation is **canonical**: elements are processed in name-sorted
 order, so two circuits with the same elements added in different
@@ -51,9 +51,12 @@ class TransistorGroup:
 
     ``*_full`` index the full voltage vector (terminal gathers, and
     residual rows — the residual is kept full-length so fixed-node
-    rows read back as source currents); ``*_jrow`` / ``*_col`` index
-    Jacobian rows/columns, with fixed-node terminals mapped to the
-    discard row/column ``n_unknown``.
+    rows read back as source currents); ``*_col`` index Jacobian
+    rows/columns, with fixed-node terminals mapped to the discard
+    row/column ``n_unknown``.  ``jac_cells`` holds the flat Jacobian
+    cell ``row * (n_unknown + 1) + col`` of every device partial,
+    shape ``(6, size)``: the drain row against the drain, gate and
+    source columns, then the source row against the same three.
     """
 
     device: MOSFET
@@ -62,11 +65,10 @@ class TransistorGroup:
     drain_full: IntArray
     gate_full: IntArray
     source_full: IntArray
-    drain_jrow: IntArray
-    source_jrow: IntArray
     drain_col: IntArray
     gate_col: IntArray
     source_col: IntArray
+    jac_cells: IntArray
 
     @property
     def size(self) -> int:
@@ -195,6 +197,10 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     for key in order:
         members = grouped[key]
         device = members[0].device
+        drain, gate, source = (
+            np.array([jcol(getattr(t, terminal)) for t in members],
+                     dtype=np.intp)
+            for terminal in ("drain", "gate", "source"))
         groups.append(TransistorGroup(
             device=device,
             polarity=device.polarity,
@@ -205,16 +211,12 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                                dtype=np.intp),
             source_full=np.array([index[t.source] for t in members],
                                  dtype=np.intp),
-            drain_jrow=np.array([jcol(t.drain) for t in members],
-                                dtype=np.intp),
-            source_jrow=np.array([jcol(t.source) for t in members],
-                                 dtype=np.intp),
-            drain_col=np.array([jcol(t.drain) for t in members],
-                               dtype=np.intp),
-            gate_col=np.array([jcol(t.gate) for t in members],
-                              dtype=np.intp),
-            source_col=np.array([jcol(t.source) for t in members],
-                                dtype=np.intp),
+            drain_col=drain,
+            gate_col=gate,
+            source_col=source,
+            jac_cells=np.stack([row * (n + 1) + col
+                                for row in (drain, source)
+                                for col in (drain, gate, source)]),
         ))
 
     waveforms: list[Callable[[float], float] | None] = [None] * len(fixed)

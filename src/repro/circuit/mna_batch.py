@@ -9,11 +9,13 @@ the same equations over a trailing **lane** axis:
 * the netlist is lowered once by :func:`repro.circuit.compile.compile_circuit`
   into index arrays and constant linear stamps;
 * device currents evaluate per *group* (all transistors sharing one
-  model) through the array-native ``MOSFET.ids(vth_shift_v=...)``
-  hook, so a variation corner is data, not a rebuilt circuit;
-* residuals and Jacobian partials scatter-add into dense per-lane
-  systems (``np.add.at``), solved with one stacked
-  ``xp.linalg.solve``;
+  model) through the EKV kernel :func:`repro.device.ekv.ids` with its
+  ``vth_shift_v`` hook, so a variation corner is data, not a rebuilt
+  circuit; the same call returns the analytic ``g_m`` / ``g_ds``, so
+  the Jacobian costs one device evaluation per group and sweep;
+* residuals scatter-add into the KCL rows (``np.add.at``), partials
+  into dense per-lane Jacobians through precomputed flat cells (one
+  ``np.bincount``), solved with one stacked ``xp.linalg.solve``;
 * Newton runs with active-lane compression in the
   :mod:`repro.numerics` style: an index array of unconverged lanes, a
   bounded ``for`` sweep loop, and ``circuit.mna.*`` perf counters.
@@ -34,11 +36,12 @@ import numpy as np
 import numpy.typing as npt
 
 from .. import perf
+from ..device import ekv
 from ..device.mosfet import Polarity
 from ..errors import ConvergenceError, ParameterError
 from ..numerics.backend import array_namespace, flatnonzero
 from .compile import CompiledCircuit, TransistorGroup, compile_circuit
-from .mna import _FD_STEP, _GMIN_START
+from .mna import _GMIN_START
 from .netlist import Circuit
 
 __all__ = ["BatchDCResult", "BatchTransientResult", "solve_dc_batch",
@@ -233,21 +236,34 @@ class _FixedPlan:
 
 
 def _group_currents(group: TransistorGroup, vd: FloatArray, vg: FloatArray,
-                    vs: FloatArray, shift: object) -> FloatArray:
-    """Drain-terminal currents [A] of a device group, vectorised.
+                    vs: FloatArray, shift: object
+                    ) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Drain-terminal currents [A] of a device group and their partials.
 
     Mirrors :meth:`repro.circuit.netlist.Transistor.current_into_drain`
     exactly: the symmetric model always sees the source-referenced
     magnitudes of the conducting orientation, and the sign flips when
-    drain and source swap roles.
+    drain and source swap roles.  Returns ``(I, ∂I/∂V_d, ∂I/∂V_g)``
+    [A, S, S]: the kernel's ``(g_m, g_ds)`` mapped through the same
+    swap (``∂I/∂V_s`` is minus their sum — the current depends on
+    voltage differences only).
     """
     lo = np.minimum(vd, vs)
     hi = np.maximum(vd, vs)
     if group.polarity is Polarity.NFET:
-        mag = group.device.ids(vg - lo, hi - lo, shift)
-        return np.where(vd >= vs, mag, -mag)
-    mag = group.device.ids(hi - vg, hi - lo, shift)
-    return np.where(vd <= vs, -mag, mag)
+        forward = vd >= vs
+        vgs = vg - lo
+    else:
+        forward = vd <= vs
+        vgs = hi - vg
+    mag, gm, gds = ekv.ids(group.device.iv.card, vgs, hi - lo,
+                           vth_shift_v=shift, derivs=True)
+    if group.polarity is Polarity.NFET:
+        current = np.where(forward, mag, -mag)
+    else:
+        current = np.where(forward, -mag, mag)
+    return (current, np.where(forward, gds, gm + gds),
+            np.where(forward, gm, -gm))
 
 
 def _group_shift(group: TransistorGroup, shift_n: object, shift_p: object
@@ -255,44 +271,19 @@ def _group_shift(group: TransistorGroup, shift_n: object, shift_p: object
     return shift_n if group.polarity is Polarity.NFET else shift_p
 
 
-def _residual_full(compiled: CompiledCircuit, x: FloatArray,
-                   fixed: FloatArray, shift_n: object, shift_p: object,
-                   gmin: float, prev_full: FloatArray | None,
-                   inv_dt: float | None, xp: Any) -> FloatArray:
-    """KCL residual at every node, shape ``(n_total, lanes)``.
-
-    Rows ``:n_unknown`` must vanish at a solution; fixed-node rows
-    read back as the current each source injects.
-    """
-    n = compiled.n_unknown
-    v = xp.concatenate([x, fixed], axis=0)
-    f = compiled.g_linear @ v
-    if inv_dt is not None and prev_full is not None:
-        f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
-    lanes = x.shape[1]
-    for grp in compiled.groups:
-        i0 = _group_currents(grp, v[grp.drain_full], v[grp.gate_full],
-                             v[grp.source_full],
-                             _group_shift(grp, shift_n, shift_p))
-        np.add.at(f, grp.drain_full, i0)
-        np.add.at(f, grp.source_full, -i0)
-        perf.bump("circuit.mna.device_evals", grp.size * lanes)
-    if gmin > 0.0:
-        f[:n] += gmin * x
-    return f
-
-
 def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
               shift_n: object, shift_p: object, gmin: float,
               prev_full: FloatArray | None, inv_dt: float | None,
               xp: Any) -> tuple[FloatArray, FloatArray]:
-    """Residual rows and stacked Jacobian for the unknown block.
+    """KCL residual rows and stacked Jacobian for the unknown block.
 
-    Returns ``(f, jac)`` with ``f`` shaped ``(n_total, lanes)`` and
-    ``jac`` shaped ``(lanes, n, n)``.  Device partials are per-terminal
-    finite differences (step :data:`repro.circuit.mna._FD_STEP`), three
-    extra group evaluations per sweep instead of one residual sweep
-    per node.
+    Returns ``(f, jac)`` with ``f`` shaped ``(n_total, lanes)`` — rows
+    ``:n_unknown`` vanish at a solution, fixed-node rows read back as
+    the current each source injects — and ``jac`` shaped
+    ``(lanes, n, n)``.  Device partials are the EKV kernel's analytic
+    ``g_m`` / ``g_ds``, so each group is evaluated once per assembly;
+    they scatter into the Jacobian through the compiled flat cells
+    with one ``np.bincount``.
     """
     n = compiled.n_unknown
     lanes = x.shape[1]
@@ -300,30 +291,24 @@ def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
     f = compiled.g_linear @ v
     if inv_dt is not None and prev_full is not None:
         f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
-    jac = xp.zeros((n + 1, n + 1, lanes))
+    cells = [np.empty(0, dtype=np.intp)]
+    partials = [np.empty((0, lanes))]
     for grp in compiled.groups:
-        shift = _group_shift(grp, shift_n, shift_p)
-        vd = v[grp.drain_full]
-        vg = v[grp.gate_full]
-        vs = v[grp.source_full]
-        i0 = _group_currents(grp, vd, vg, vs, shift)
-        gd = (_group_currents(grp, vd + _FD_STEP, vg, vs, shift)
-              - i0) / _FD_STEP
-        gg = (_group_currents(grp, vd, vg + _FD_STEP, vs, shift)
-              - i0) / _FD_STEP
-        gs = (_group_currents(grp, vd, vg, vs + _FD_STEP, shift)
-              - i0) / _FD_STEP
+        i0, gd, gg = _group_currents(grp, v[grp.drain_full],
+                                     v[grp.gate_full], v[grp.source_full],
+                                     _group_shift(grp, shift_n, shift_p))
         np.add.at(f, grp.drain_full, i0)
         np.add.at(f, grp.source_full, -i0)
-        np.add.at(jac, (grp.drain_jrow, grp.drain_col), gd)
-        np.add.at(jac, (grp.drain_jrow, grp.gate_col), gg)
-        np.add.at(jac, (grp.drain_jrow, grp.source_col), gs)
-        np.add.at(jac, (grp.source_jrow, grp.drain_col), -gd)
-        np.add.at(jac, (grp.source_jrow, grp.gate_col), -gg)
-        np.add.at(jac, (grp.source_jrow, grp.source_col), -gs)
-        perf.bump("circuit.mna.device_evals", 4 * grp.size * lanes)
-    stacked = jac[:n, :n].transpose(2, 0, 1)
-    stacked += compiled.g_linear[:n, :n]
+        gs = -(gd + gg)
+        cells.append(grp.jac_cells.ravel())
+        partials.append(np.concatenate((gd, gg, gs, -gd, -gg, -gs)))
+        perf.bump("circuit.mna.device_evals", grp.size * lanes)
+    side = n + 1
+    flat = np.concatenate(cells)[:, None] + side * side * np.arange(lanes)
+    jac = np.bincount(flat.ravel(), weights=np.concatenate(partials).ravel(),
+                      minlength=lanes * side * side
+                      ).reshape(lanes, side, side)
+    stacked = jac[:, :n, :n] + compiled.g_linear[:n, :n]
     if inv_dt is not None:
         stacked += compiled.c_linear[:n, :n] * inv_dt
     if gmin > 0.0:
@@ -481,8 +466,8 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
                                                           batch_shape)
     x, iterations = _dc_core(compiled, fixed, shift_n, shift_p, x0,
                              tol_v, max_iter, xp)
-    f = _residual_full(compiled, x, fixed, shift_n, shift_p, 0.0, None,
-                       None, xp)
+    f, _ = _assemble(compiled, x, fixed, shift_n, shift_p, 0.0, None, None,
+                     xp)
     return _pack_dc(compiled, x, fixed, f, batch_shape, iterations)
 
 

@@ -45,6 +45,7 @@ from ..constants import (
 from ..errors import ParameterError
 from ..materials.mobility import _MASETTI
 from ..materials.silicon import bandgap_ev, intrinsic_concentration
+from . import ekv
 from .doping import (
     _SQRT_2PI,
     HALO_DEPTH_FRACTION,
@@ -52,7 +53,6 @@ from .doping import (
     HALO_SIGMA_Y_FRACTION,
 )
 from .geometry import JUNCTION_DEPTH_FRACTION
-from .iv import _ekv_f
 from .mosfet import VTH_CC_A, Polarity
 from .subthreshold import _EPS_RATIO
 from .threshold import N_SOURCE_DRAIN
@@ -319,12 +319,12 @@ class BatchDeviceMetrics:
 
     Mirrors the cached state of :class:`repro.device.iv.IVModel`
     (``n_eff``, ``w_dep``, ``vth0``, SCE coefficients, slope factor)
-    for every point of a :class:`ParameterStack` and evaluates the same
-    EKV current expression over the whole stack.
+    for every point of a :class:`ParameterStack`; :attr:`card` feeds
+    the whole stack to the EKV kernel :func:`repro.device.ekv.ids`.
     """
 
     __slots__ = ("stack", "n_eff_cm3", "w_dep_cm", "vth0_v", "sce_barrier_v",
-                 "sce_e1", "sce_e2", "slope_factor", "mu_low")
+                 "sce_e1", "sce_e2", "slope_factor", "mu_low", "card")
 
     def __init__(self, stack: ParameterStack, n_eff_cm3, w_dep_cm, vth0_v,
                  sce_barrier_v, sce_e1, sce_e2, slope_factor, mu_low):
@@ -337,21 +337,13 @@ class BatchDeviceMetrics:
         self.sce_e2 = sce_e2
         self.slope_factor = slope_factor
         self.mu_low = mu_low
-
-    def take(self, idx) -> "BatchDeviceMetrics":
-        """The metrics of flat lanes ``idx`` (gathered stack included)."""
-        idx = np.asarray(idx)
-
-        def flat(values: np.ndarray) -> np.ndarray:
-            return np.ravel(values)[idx]
-
-        return BatchDeviceMetrics(
-            stack=self.stack.take(idx),
-            n_eff_cm3=flat(self.n_eff_cm3), w_dep_cm=flat(self.w_dep_cm),
-            vth0_v=flat(self.vth0_v), sce_barrier_v=flat(self.sce_barrier_v),
-            sce_e1=flat(self.sce_e1), sce_e2=flat(self.sce_e2),
-            slope_factor=flat(self.slope_factor), mu_low=flat(self.mu_low),
-        )
+        self.card = ekv.DeviceCard(
+            vth0_v=vth0_v, field_vth0_v=vth0_v, slope_factor=slope_factor,
+            sce_barrier_v=sce_barrier_v, sce_e1_factor=sce_e1,
+            sce_e2_factor=sce_e2, vt_v=stack.vt, mu_low_cm2_per_v_s=mu_low,
+            vsat_leff_cm2_per_s=stack.vsat * stack.l_eff_cm,
+            eot_cm=stack.eot_cm, cox_f_per_cm2=stack.cox,
+            aspect_ratio=stack.aspect_ratio, electron=stack.is_nfet)
 
     @property
     def ss_v_per_dec(self) -> np.ndarray:
@@ -361,37 +353,12 @@ class BatchDeviceMetrics:
 
     def vth(self, vds) -> np.ndarray:
         """Threshold voltage at drain bias ``vds`` [V] (DIBL included)."""
-        vds_arr = np.maximum(np.asarray(vds, dtype=float), 0.0)
-        b = self.sce_barrier_v
-        dv = ((2.0 * b + vds_arr) * self.sce_e1
-              + 2.0 * np.sqrt(b * (b + vds_arr)) * self.sce_e2)
-        return self.vth0_v - dv
+        return ekv.threshold_v(self.card, vds)
 
     def ids(self, vgs, vds) -> np.ndarray:
         """Drain current [A] for NFET-referenced terminal voltages."""
-        s = self.stack
-        vgs_arr = np.asarray(vgs, dtype=float)
-        vds_arr = np.maximum(np.asarray(vds, dtype=float), 0.0)
-        vt = s.vt
-        vth = self.vth(vds_arr)
-        vp = (vgs_arr - vth) / self.slope_factor
-        i_f = _ekv_f(vp / vt)
-        i_r = _ekv_f((vp - vds_arr) / vt)
-
-        e_eff = np.maximum(vgs_arr + self.vth0_v, 0.0) / (6.0 * s.eot_cm)
-        mu = self.mu_low / np.where(
-            s.is_nfet,
-            1.0 + (e_eff / 6.7e5) ** 1.6,
-            1.0 + (e_eff / 7.0e5) ** 1.0,
-        )
-        ispec = (2.0 * self.slope_factor * mu * s.cox * vt ** 2
-                 * s.aspect_ratio)
-        current = ispec * (i_f - i_r)
-        severity = i_f / (1.0 + i_f)
-        v_drive = np.maximum(vp, 2.0 * vt)
-        v_dsat = vds_arr * v_drive / (vds_arr + v_drive + 1e-12)
-        vsat_term = (self.mu_low * v_dsat) / (s.vsat * s.l_eff_cm)
-        return current / (1.0 + severity * vsat_term)
+        return ekv.ids(self.card, np.asarray(vgs, dtype=float),
+                       np.asarray(vds, dtype=float))
 
     def i_off_per_um(self, vdd) -> np.ndarray:
         """Leakage per µm of width at supply ``vdd`` [A/µm]."""
@@ -415,10 +382,10 @@ class BatchDeviceMetrics:
         vdd_flat = np.ravel(np.broadcast_to(np.asarray(vdd, float), shape))
         target = np.ravel(np.broadcast_to(
             VTH_CC_A * self.stack.aspect_ratio, shape))
-        flat = self.take(np.arange(n))
+        card = self.card.take(np.arange(n))
 
         def residual(vgs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return flat.take(idx).ids(vgs, vdd_flat[idx]) - target[idx]
+            return ekv.ids(card.take(idx), vgs, vdd_flat[idx]) - target[idx]
 
         all_lanes = np.arange(n)
         lo = np.full(n, -0.5)

@@ -32,19 +32,11 @@ from ..constants import LN10, T_ROOM, thermal_voltage
 from ..errors import ParameterError
 from ..materials.mobility import MobilityModel
 from ..materials.oxide import GateStack
+from . import ekv
 from .doping import DopingProfile
 from .geometry import DeviceGeometry
 from .subthreshold import inverse_subthreshold_slope
 from .threshold import ThresholdModel
-
-
-def _ekv_f(u: np.ndarray) -> np.ndarray:
-    """EKV interpolation function ``ln(1 + exp(u/2))^2``, overflow-safe."""
-    half = 0.5 * u
-    # log1p(exp(x)) == x + log1p(exp(-x)) for large x.
-    out = np.where(half > 30.0, half + np.log1p(np.exp(-np.abs(half))),
-                   np.log1p(np.exp(np.minimum(half, 30.0))))
-    return out ** 2
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,10 @@ class IVModel:
     # Derived, filled in __post_init__ (frozen dataclass -> object.__setattr__).
     _m: float = field(init=False, repr=False, default=0.0)
     _vth0: float = field(init=False, repr=False, default=0.0)
-    _sce_barrier: float = field(init=False, repr=False, default=0.0)
-    _sce_e1: float = field(init=False, repr=False, default=0.0)
-    _sce_e2: float = field(init=False, repr=False, default=0.0)
     _n_eff: float = field(init=False, repr=False, default=0.0)
     _w_dep: float = field(init=False, repr=False, default=0.0)
+    _card: ekv.DeviceCard = field(init=False, repr=False, compare=False,
+                                  default=None)
 
     def __post_init__(self) -> None:
         tm = ThresholdModel(self.geometry, self.profile, self.stack,
@@ -86,7 +77,8 @@ class IVModel:
         object.__setattr__(self, "_n_eff", n_eff)
         object.__setattr__(self, "_w_dep", w_dep)
         object.__setattr__(self, "_vth0", tm.vth0())
-        # Cache the pieces of delta_vth_sce so vth(vds) is closed-form.
+        # The pieces of delta_vth_sce go on the card, so vth(vds) is
+        # closed-form.
         from ..materials.silicon import built_in_potential, fermi_potential
         from .threshold import N_SOURCE_DRAIN, characteristic_length
         psi_s = 2.0 * fermi_potential(n_eff, self.temperature_k)
@@ -94,17 +86,34 @@ class IVModel:
         barrier = max(vbi - psi_s, 0.0)
         lt = characteristic_length(self.stack, w_dep)
         l_eff = self.geometry.l_eff_cm
-        object.__setattr__(self, "_sce_barrier", barrier)
-        object.__setattr__(self, "_sce_e1", np.exp(-l_eff / (2.0 * lt)))
-        object.__setattr__(self, "_sce_e2", np.exp(-l_eff / lt))
         # Slope factor from the short-channel Eq. 2(b) slope so that
         # S_S extracted from this model's I-V matches the analytic S_S.
         ss = inverse_subthreshold_slope(self.stack, w_dep, l_eff,
                                         self.temperature_k)
         vt = thermal_voltage(self.temperature_k)
         object.__setattr__(self, "_m", ss / (LN10 * vt))
+        object.__setattr__(self, "_card", ekv.DeviceCard(
+            vth0_v=self._vth0 + self.vth_offset_v,
+            field_vth0_v=self._vth0,
+            slope_factor=self._m,
+            sce_barrier_v=barrier,
+            sce_e1_factor=np.exp(-l_eff / (2.0 * lt)),
+            sce_e2_factor=np.exp(-l_eff / lt),
+            vt_v=vt,
+            mu_low_cm2_per_v_s=self.mobility.low_field(n_eff),
+            vsat_leff_cm2_per_s=self.mobility.vsat() * l_eff,
+            eot_cm=self.stack.eot_cm,
+            cox_f_per_cm2=self.stack.capacitance_per_area,
+            aspect_ratio=self.geometry.aspect_ratio,
+            electron=self.mobility.carrier == "electron",
+        ))
 
     # -- cached device state ------------------------------------------------
+
+    @property
+    def card(self) -> ekv.DeviceCard:
+        """The device as an :class:`repro.device.ekv.DeviceCard`."""
+        return self._card
 
     @property
     def n_eff_cm3(self) -> float:
@@ -128,29 +137,14 @@ class IVModel:
 
     def vth(self, vds: float | np.ndarray = 0.05) -> float | np.ndarray:
         """Threshold voltage at drain bias ``vds`` [V] (DIBL included)."""
-        vds_arr = np.maximum(np.asarray(vds, dtype=float), 0.0)
-        b = self._sce_barrier
-        dv = ((2.0 * b + vds_arr) * self._sce_e1
-              + 2.0 * np.sqrt(b * (b + vds_arr)) * self._sce_e2)
-        out = self._vth0 + self.vth_offset_v - dv
+        out = ekv.threshold_v(self._card, vds)
         return float(out) if np.isscalar(vds) else out
 
     # -- current -------------------------------------------------------------
 
     def i_spec(self, vgs: float | np.ndarray) -> float | np.ndarray:
         """Specific current ``2 m mu_eff C_ox v_T^2 W/L_eff`` [A]."""
-        vt = thermal_voltage(self.temperature_k)
-        e_eff = np.maximum(np.asarray(vgs, dtype=float) + self._vth0, 0.0) / (
-            6.0 * self.stack.eot_cm
-        )
-        mu = self.mobility.low_field(self._n_eff) / (
-            1.0 + (e_eff / 6.7e5) ** 1.6
-            if self.mobility.carrier == "electron"
-            else 1.0 + (e_eff / 7.0e5) ** 1.0
-        )
-        cox = self.stack.capacitance_per_area
-        return (2.0 * self._m * mu * cox * vt ** 2
-                * self.geometry.aspect_ratio)
+        return ekv.specific_current_a(self._card, vgs)
 
     def i0(self) -> float:
         """Eq. 1 prefactor equivalent: the current at V_gs = V_th [A]."""
@@ -174,23 +168,8 @@ class IVModel:
         shift_arr = np.asarray(vth_shift_v, dtype=float)
         if np.any(vds_arr < -1e-12):
             raise ParameterError("ids() requires vds >= 0; swap terminals")
-        vds_arr = np.maximum(vds_arr, 0.0)
-        vt = thermal_voltage(self.temperature_k)
-        vth = self.vth(vds_arr) + shift_arr
-        vp = (vgs_arr - vth) / self._m
-        i_f = _ekv_f(vp / vt)
-        i_r = _ekv_f((vp - vds_arr) / vt)
-        ispec = self.i_spec(vgs_arr)
-        current = ispec * (i_f - i_r)
-        # Velocity saturation, weighted by inversion level so that weak
-        # inversion (diffusion-dominated) is unaffected.
-        severity = i_f / (1.0 + i_f)
-        v_drive = np.maximum(vp, 2.0 * vt)
-        v_dsat = vds_arr * v_drive / (vds_arr + v_drive + 1e-12)
-        mu_over = self.mobility.low_field(self._n_eff)
-        vsat_term = (mu_over * v_dsat) / (self.mobility.vsat()
-                                          * self.geometry.l_eff_cm)
-        current = current / (1.0 + severity * vsat_term)
+        current = ekv.ids(self._card, vgs_arr, vds_arr,
+                          vth_shift_v=shift_arr)
         if np.isscalar(vgs) and np.isscalar(vds) and shift_arr.ndim == 0:
             return float(current)
         return current

@@ -96,8 +96,8 @@ Counter names in use
     Lanes the batched MNA Newton actually assembled vs lanes carried,
     summed per sweep (active-set compression of the nodal engine).
 ``circuit.mna.device_evals``
-    Vectorised device-current evaluations (transistor instances x
-    lanes, residual and finite-difference sweeps alike).
+    Vectorised device-current evaluations: one evaluation per
+    transistor instance x lane per assembly, partials included.
 ``circuit.mna.transient_steps``
     Accepted backward-Euler steps of the batched transient engine.
 ``circuit.mna.sequential_solves``

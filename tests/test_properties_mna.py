@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit.compile import compile_circuit
 from repro.circuit.mna import NodalSolver
-from repro.circuit.mna_batch import solve_dc_batch
+from repro.circuit.mna_batch import _assemble, solve_dc_batch
 from repro.circuit.netlist import Circuit
-from repro.device import nfet
+from repro.device import nfet, pfet
 from repro.io import device_from_dict, device_to_dict
 
 resistances = st.floats(min_value=10.0, max_value=1e7)
@@ -112,6 +112,63 @@ class TestInsertionOrderInvariance:
                                  initial=seeds)
         for node in base.voltages:
             assert np.array_equal(base[node], swapped[node])
+
+
+class TestAnalyticJacobian:
+    """The assembled Jacobian is the derivative of the assembled KCL.
+
+    A cross-coupled latch with an access device and a capacitor: node
+    voltages are drawn over (and beyond) the rails so every transistor
+    conducts in both orientations across the lanes, and the analytic
+    kernel partials, mapped through the drain/source swap and scattered
+    by cell, must match central differences of the residual rows.
+    """
+
+    @staticmethod
+    def _latch():
+        n = nfet(65, 2.1, 1.2e18, 1.5e18)
+        p = pfet(65, 2.1, 1.2e18, 1.5e18, width_um=2.0)
+        c = Circuit()
+        c.add_vsource("vdd", "vdd", 0.3)
+        c.add_vsource("vwl", "wl", 0.3)
+        c.add_inverter("i1", "q", "qb", "vdd", n, p)
+        c.add_inverter("i2", "qb", "q", "vdd", n, p)
+        c.add_mosfet("max", "bl", "wl", "q", n)
+        c.add_resistor("rk", "vdd", "bl", 1e7)
+        c.add_capacitor("cq", "q", "0", 1e-15)
+        return compile_circuit(c)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           shift=st.floats(min_value=-0.05, max_value=0.05),
+           transient=st.booleans())
+    def test_matches_central_differences(self, seed, shift, transient):
+        compiled = self._latch()
+        n = compiled.n_unknown
+        lanes = 16
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.1, 0.4, size=(n, lanes))
+        fixed = np.repeat(compiled.fixed_base(0.0)[:, None], lanes, axis=1)
+        shifts = rng.uniform(-0.05, 0.05, size=lanes)
+        prev = (np.concatenate([rng.uniform(0.0, 0.3, size=(n, lanes)),
+                                fixed]) if transient else None)
+        inv_dt = 1e10 if transient else None
+
+        def residual(xv):
+            f, _ = _assemble(compiled, xv, fixed, shifts, shift, 0.0, prev,
+                             inv_dt, np)
+            return f[:n]
+
+        _, jac = _assemble(compiled, x, fixed, shifts, shift, 0.0, prev,
+                           inv_dt, np)
+        h = 1e-6
+        for col in range(n):
+            step = np.zeros((n, 1))
+            step[col] = h
+            fd = (residual(x + step) - residual(x - step)) / (2.0 * h)
+            scale = np.abs(jac[:, :, col]).max(axis=1)
+            assert np.all(np.abs(jac[:, :, col] - fd.T)
+                          <= 1e-6 * scale[:, None] + 1e-15)
 
 
 class TestDeviceSerializationProperties:
