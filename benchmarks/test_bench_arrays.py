@@ -4,7 +4,7 @@ The headline gate is the **tentpole speedup**: a 16-row SRAM column's
 DC characterisation — 64 wordline stimulus points x 8 variation
 corners, 512 lanes of a 35-unknown nodal system — must run >= 10x
 faster *per lane* through the compiled batched engine than through
-the looped scalar :class:`~repro.circuit.mna.NodalSolver` oracle
+the looped scalar :class:`~repro.reference._nodal.NodalSolver` oracle
 (:func:`repro.reference.solve_dc_batch`),
 while agreeing to <= 1e-9 V on every node of the lanes both solved.
 The oracle is timed on a lane subset (it is three decades slower; a
@@ -81,7 +81,7 @@ def test_bench_array_dc_batched(benchmark):
 
 
 def test_bench_array_dc_speedup_vs_sequential(benchmark):
-    """Tentpole gate: batched vs looped-NodalSolver DC, per lane.
+    """Tentpole gate: batched vs looped scalar-oracle DC, per lane.
 
     Times the composite (full batched solve + oracle subset); the
     per-lane speedup, the measured equivalence and the lane counts

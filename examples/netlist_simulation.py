@@ -1,8 +1,9 @@
-"""SPICE-style netlist simulation with the built-in nodal solver.
+"""SPICE-style netlist simulation with the built-in nodal engine.
 
 Three mini-studies on the 32nm sub-V_th devices, all through the
 general-purpose netlist/MNA engine (rather than the specialised
-inverter solvers):
+inverter solvers).  The engine is batched; with scalar stimulus, as
+here, it solves one circuit and returns plain waveforms:
 
 1. a 5-stage ring oscillator — transient simulation, measured
    frequency vs the analytic estimate;
@@ -11,13 +12,14 @@ inverter solvers):
 3. a logical-effort-sized buffer chain driving a large load — the
    sized chain beats the naive single-gate driver.
 
-Run:  python examples/netlist_simulation.py   (~30 s)
+Run:  python examples/netlist_simulation.py   (~5 s)
 """
 
 import numpy as np
 
-from repro.circuit import Circuit, NodalSolver, RingOscillator
+from repro.circuit import Circuit, RingOscillator
 from repro.circuit.logical_effort import best_stage_count, size_path
+from repro.circuit.mna_batch import solve_transient_batch
 from repro.scaling import build_sub_vth_family
 from repro.units import format_quantity
 
@@ -39,8 +41,8 @@ def ring_oscillator_study(design) -> None:
     estimate = RingOscillator(design.inverter(VDD), n_stages=5)
     t_est = 1.0 / estimate.frequency_hz()
     seed = {f"n{i}": (0.0 if i % 2 == 0 else VDD) for i in range(5)}
-    result = NodalSolver(c).solve_transient(
-        6.0 * t_est, t_est / 60.0, initial=seed,
+    result = solve_transient_batch(
+        c, 6.0 * t_est, t_est / 60.0, initial=seed,
         use_initial_conditions=True)
 
     wave = result.voltages["n0"]
@@ -74,9 +76,8 @@ def sram_write_study(design) -> None:
                  n_dev.with_width_um(2.0))
     c.add_resistor("rbl", "bl_node", "0", 1e3)
 
-    solver = NodalSolver(c)
-    result = solver.solve_transient(
-        1.2e-6, 5e-9, initial={"q": VDD, "qb": 0.0},
+    result = solve_transient_batch(
+        c, 1.2e-6, 5e-9, initial={"q": VDD, "qb": 0.0},
         use_initial_conditions=True)
     q_start = result.voltages["q"][0]
     q_end = result.voltages["q"][-1]

@@ -33,7 +33,6 @@ from .sram import SramCell, hold_snm, read_snm
 from .gates import EquivalentGate, nand2, nor2
 from .vmin_model import vmin_closed_form, k_vmin
 from .netlist import Circuit, GROUND
-from .mna import NodalSolver, DCResult, TransientResult
 from .analytic_vtc import vin_of_vout_matched, analytic_snm_matched
 from .wires import WireModel
 from .logical_effort import size_path, best_stage_count
@@ -74,9 +73,6 @@ __all__ = [
     "k_vmin",
     "Circuit",
     "GROUND",
-    "NodalSolver",
-    "DCResult",
-    "TransientResult",
     "vin_of_vout_matched",
     "analytic_snm_matched",
     "WireModel",

@@ -1,7 +1,8 @@
 """Netlist lowering: compile a :class:`Circuit` to integer index arrays.
 
-The scalar :class:`~repro.circuit.mna.NodalSolver` walks python lists
-of elements and a name->index dict on every residual evaluation.  That
+A scalar nodal solver (the oracle in :mod:`repro.reference`) walks
+python lists of elements and a name->index dict on every residual
+evaluation.  That
 is fine for a handful of nodes, but an N-row SRAM column evaluates
 thousands of device currents per Newton sweep.  This module lowers the
 netlist **once** into flat numpy index arrays so the batched engine

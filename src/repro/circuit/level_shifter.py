@@ -8,19 +8,26 @@ fails exactly when the sub-V_th input can no longer overpower the
 high-rail PFET — making the *minimum convertible input supply* a
 figure of merit of the low-voltage device's drive.
 
-The circuit is solved with the library's own netlist/MNA engine; the
-search for the minimum working input supply is a bisection over DC
-solves from both input states.
+The circuit is solved with the library's batched MNA engine: both
+input states of one input supply settle as two lanes of a single
+transient.  The search for the minimum working input supply is a
+serial bisection over supplies — each candidate sets its own settling
+horizon, so candidates cannot share one lane grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .mna import NodalSolver
+from .mna_batch import FloatArray, solve_transient_batch
 from .netlist import Circuit
+
+#: Output-node capacitance used for the settling transient [F].
+NODE_CAP_F = 2e-15
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,6 @@ class LevelShifter:
     vdd_high: float
     nfet_width_um: float = 4.0
 
-    #: Output-node capacitance used for the settling transient [F].
-    NODE_CAP_F: float = 2e-15
-
     def __post_init__(self) -> None:
         if not 0.0 < self.vdd_low <= self.vdd_high:
             raise ParameterError("need 0 < vdd_low <= vdd_high")
@@ -61,6 +65,7 @@ class LevelShifter:
     # -- circuit assembly ---------------------------------------------------
 
     def _build(self, vin: float) -> Circuit:
+        """The netlist with its input source at ``vin`` [V]."""
         c = Circuit()
         c.add_vsource("vddh", "vddh", self.vdd_high)
         c.add_vsource("vddl", "vddl", self.vdd_low)
@@ -75,8 +80,42 @@ class LevelShifter:
         c.add_mosfet("mp2", "out", "outb", "vddh", self.pfet)
         # Node capacitances make the contention dynamics well-posed.
         for node in ("out", "outb", "inb"):
-            c.add_capacitor(f"c_{node}", node, "0", self.NODE_CAP_F)
+            c.add_capacitor(f"c_{node}", node, "0", NODE_CAP_F)
         return c
+
+    def _settle(self, vins: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Settled (out, outb) [V] after an input edge to each of
+        ``vins`` [V]: one netlist, one transient lane per input, each
+        lane starting from the output state opposite to its input."""
+        high_input = vins > self.vdd_low / 2.0
+        start = {"out": np.where(high_input, 0.0, self.vdd_high),
+                 "outb": np.where(high_input, self.vdd_high, 0.0),
+                 "inb": self.vdd_low - vins}
+        horizon = self._horizon_s()
+        result = solve_transient_batch(
+            self._build(0.0), horizon, horizon / 400.0,
+            stimulus={"vin": vins}, initial=start,
+            use_initial_conditions=True)
+        return result.voltages["out"][-1], result.voltages["outb"][-1]
+
+    def _horizon_s(self) -> float:
+        """Settling horizon [s]: 60 time constants of the pull-down
+        discharging a node cap through the low-domain gate drive (at
+        half-rail drain bias)."""
+        pd = self.nfet.with_width_um(self.nfet_width_um)
+        drive = max(float(pd.ids(self.vdd_low, self.vdd_high / 2.0)), 1e-15)
+        tau = NODE_CAP_F * self.vdd_high / drive
+        return 60.0 * tau
+
+    def _full_swing(self, high: tuple[float, float],
+                    low: tuple[float, float], margin: float) -> bool:
+        """Whether the settled (out, outb) [V] after a high and a low
+        input sit within ``margin`` x V_dd,high of their rails."""
+        rail = self.vdd_high
+        return bool(high[0] > (1.0 - margin) * rail
+                    and high[1] < margin * rail
+                    and low[0] < margin * rail
+                    and low[1] > (1.0 - margin) * rail)
 
     # -- analysis ----------------------------------------------------------------
 
@@ -92,44 +131,24 @@ class LevelShifter:
         """
         if not 0.0 <= vin <= self.vdd_low:
             raise ParameterError("vin outside the low domain")
-        circuit = self._build(vin)
-        solver = NodalSolver(circuit)
-        high_input = vin > self.vdd_low / 2.0
-        start = {"out": 0.0 if high_input else self.vdd_high,
-                 "outb": self.vdd_high if high_input else 0.0,
-                 "inb": self.vdd_low - vin}
-        # Timescale: the pull-down discharging a node cap through the
-        # low-domain gate drive (use half-rail drain bias).
-        pd = self.nfet.with_width_um(self.nfet_width_um)
-        drive = max(float(pd.ids(self.vdd_low, self.vdd_high / 2.0)), 1e-15)
-        tau = self.NODE_CAP_F * self.vdd_high / drive
-        horizon = 60.0 * tau
-        result = solver.solve_transient(
-            horizon, horizon / 400.0, initial=start,
-            use_initial_conditions=True,
-        )
-        return (float(result.voltages["out"][-1]),
-                float(result.voltages["outb"][-1]))
+        out, outb = self._settle(np.array([vin]))
+        return float(out[0]), float(outb[0])
 
     def converts_correctly(self, margin: float = 0.10) -> bool:
         """True when both input states produce full-swing outputs.
 
         ``margin`` is the allowed deviation from the rails as a
-        fraction of V_dd,high.
+        fraction of V_dd,high.  Both input states settle in one
+        two-lane transient.
         """
-        out_hi, outb_hi = self.output_levels(self.vdd_low)
-        out_lo, outb_lo = self.output_levels(0.0)
-        rail = self.vdd_high
-        return (out_hi > (1.0 - margin) * rail
-                and outb_hi < margin * rail
-                and out_lo < margin * rail
-                and outb_lo > (1.0 - margin) * rail)
+        (out_hi, out_lo), (outb_hi, outb_lo) = self._settle(
+            np.array([self.vdd_low, 0.0]))
+        return self._full_swing((out_hi, outb_hi), (out_lo, outb_lo),
+                                margin)
 
     def with_vdd_low(self, vdd_low: float) -> "LevelShifter":
-        """Copy at a different input supply."""
-        return LevelShifter(nfet=self.nfet, pfet=self.pfet,
-                            vdd_low=vdd_low, vdd_high=self.vdd_high,
-                            nfet_width_um=self.nfet_width_um)
+        """Copy at a different input supply [V]."""
+        return replace(self, vdd_low=vdd_low)
 
 
 def min_convertible_vdd(shifter: LevelShifter, lo: float = 0.08,

@@ -1,10 +1,12 @@
 """Batched nodal analysis: compiled DC and transient over lanes.
 
-The scalar :class:`~repro.circuit.mna.NodalSolver` re-walks the
-netlist per residual and finite-differences the Jacobian one node at a
-time — fine for one inverter, hopeless for a stimulus sweep times a
-(ΔV_th,n, ΔV_th,p) corner grid on an SRAM column.  This engine solves
-the same equations over a trailing **lane** axis:
+The library's one nodal engine: every netlist flow (SRAM column, gate
+netlists, the level shifter, the examples) solves here.  A scalar
+solver that re-walks the netlist per residual and finite-differences
+the Jacobian one node at a time is fine for one inverter and hopeless
+for a stimulus sweep times a (ΔV_th,n, ΔV_th,p) corner grid on an SRAM
+column, so this engine solves the nodal equations over a trailing
+**lane** axis:
 
 * the netlist is lowered once by :func:`repro.circuit.compile.compile_circuit`
   into index arrays and constant linear stamps;
@@ -15,22 +17,23 @@ the same equations over a trailing **lane** axis:
   the Jacobian costs one device evaluation per group and sweep;
 * residuals scatter-add into the KCL rows (``np.add.at``), partials
   into dense per-lane Jacobians through precomputed flat cells (one
-  ``np.bincount``), solved with one stacked ``xp.linalg.solve``;
+  ``np.bincount``), solved with one stacked ``np.linalg.solve``;
 * Newton runs with active-lane compression in the
   :mod:`repro.numerics` style: an index array of unconverged lanes, a
   bounded ``for`` sweep loop, and ``circuit.mna.*`` perf counters.
 
 Batch semantics: ``stimulus`` values, variation shifts and initial
 seeds broadcast to a common batch shape; results carry that shape per
-node.  :mod:`repro.reference` routes every lane through the scalar
-:class:`NodalSolver` on a per-lane rebuilt circuit instead — the
-reference the equivalence tests compare against.
+node, and scalar inputs give batch shape ``()`` — one circuit, one
+solve.  :mod:`repro.reference` routes every lane through its scalar
+``NodalSolver`` on a per-lane rebuilt circuit instead — the reference
+the equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -39,9 +42,7 @@ from .. import perf
 from ..device import ekv
 from ..device.mosfet import Polarity
 from ..errors import ConvergenceError, ParameterError
-from ..numerics.backend import array_namespace, flatnonzero
 from .compile import CompiledCircuit, TransistorGroup, compile_circuit
-from .mna import _GMIN_START
 from .netlist import Circuit
 
 __all__ = ["BatchDCResult", "BatchTransientResult", "solve_dc_batch",
@@ -53,9 +54,13 @@ FloatArray = npt.NDArray[np.float64]
 #: waveform callable mapping time [s] to a constant of either kind.
 Stimulus = Mapping[str, object]
 
-#: gmin continuation ladder of the scalar solver's fallback phase,
-#: reproduced rung for rung so the scalar reference stays bitwise
-#: comparable: 1e-6 relaxed by 1e-3 until < 1e-12, then released.
+#: Conductance floor added from every node to ground during gmin
+#: stepping [S]; relaxed geometrically to zero.
+_GMIN_START = 1e-6
+
+#: gmin continuation ladder of the DC fallback phase, shared rung for
+#: rung with the scalar reference so the two stay bitwise comparable:
+#: 1e-6 relaxed by 1e-3 until < 1e-12, then released.
 _GMIN_LADDER: tuple[float, ...] = (_GMIN_START, 1e-9, 1e-12, 1e-15, 0.0)
 
 
@@ -126,9 +131,9 @@ class BatchTransientResult:
                        rising: bool | None = None) -> FloatArray:
         """First time each lane crosses ``level_v`` [V], in [s].
 
-        Vectorised analogue of
-        :meth:`repro.circuit.mna.TransientResult.crossing_time` with
-        identical per-lane semantics (including a waveform that starts
+        Vectorised analogue of the scalar reference's
+        ``TransientResult.crossing_time`` with identical per-lane
+        semantics (including a waveform that starts
         exactly at the level and departs in the requested direction
         crossing at t = 0) — except that lanes which never cross
         report ``nan`` instead of raising, so a batched binary search
@@ -273,8 +278,8 @@ def _group_shift(group: TransistorGroup, shift_n: object, shift_p: object
 
 def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
               shift_n: object, shift_p: object, gmin: float,
-              prev_full: FloatArray | None, inv_dt: float | None,
-              xp: Any) -> tuple[FloatArray, FloatArray]:
+              prev_full: FloatArray | None, inv_dt: float | None
+              ) -> tuple[FloatArray, FloatArray]:
     """KCL residual rows and stacked Jacobian for the unknown block.
 
     Returns ``(f, jac)`` with ``f`` shaped ``(n_total, lanes)`` — rows
@@ -287,7 +292,7 @@ def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
     """
     n = compiled.n_unknown
     lanes = x.shape[1]
-    v = xp.concatenate([x, fixed], axis=0)
+    v = np.concatenate([x, fixed], axis=0)
     f = compiled.g_linear @ v
     if inv_dt is not None and prev_full is not None:
         f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
@@ -313,7 +318,7 @@ def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
         stacked += compiled.c_linear[:n, :n] * inv_dt
     if gmin > 0.0:
         f[:n] += gmin * x
-        diag = xp.arange(n)
+        diag = np.arange(n)
         stacked[:, diag, diag] += gmin
     return f, stacked
 
@@ -322,7 +327,7 @@ def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
 # batched Newton
 
 
-def _gather_shift(shift: object, idx: Any) -> object:
+def _gather_shift(shift: object, idx: npt.NDArray[np.intp]) -> object:
     if isinstance(shift, np.ndarray):
         return shift[idx]
     return shift
@@ -332,12 +337,11 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
                   fixed: FloatArray, shift_n: object, shift_p: object,
                   gmin: float, prev_full: FloatArray | None,
                   inv_dt: float | None, rail: FloatArray, tol_v: float,
-                  max_iter: int, xp: Any
-                  ) -> tuple[FloatArray, FloatArray, int]:
+                  max_iter: int) -> tuple[FloatArray, FloatArray, int]:
     """Damped Newton over lanes with active-set compression.
 
     Same damping, clipping and step-size convergence test as the
-    scalar :meth:`NodalSolver._newton`, applied per lane.  Returns
+    scalar reference's ``NodalSolver._newton``, applied per lane.  Returns
     ``(x, converged_mask, sweeps)`` — a singular stacked Jacobian
     marks the remaining live lanes unconverged instead of raising, so
     the caller can send them through the gmin ladder.
@@ -345,7 +349,7 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
     n = compiled.n_unknown
     lanes = x.shape[1]
     converged = np.zeros(lanes, dtype=bool)
-    idx = xp.arange(lanes)
+    idx = np.arange(lanes)
     sweeps = 0
     for _ in range(max_iter):
         live = int(idx.shape[0])
@@ -359,29 +363,28 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
         f, jac = _assemble(compiled, x[:, idx], fixed[:, idx],
                            _gather_shift(shift_n, idx),
                            _gather_shift(shift_p, idx),
-                           gmin, prev_live, inv_dt, xp)
+                           gmin, prev_live, inv_dt)
         try:
-            update = xp.linalg.solve(jac, -f[:n].T[:, :, None])[:, :, 0].T
+            update = np.linalg.solve(jac, -f[:n].T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:
             break
-        biggest = xp.max(xp.abs(update), axis=0)
+        biggest = np.max(np.abs(update), axis=0)
         rail_live = rail[idx]
-        scale = xp.minimum(
-            1.0, 0.25 * xp.maximum(rail_live, 0.1)
-            / xp.maximum(biggest, 1e-30))
+        scale = np.minimum(
+            1.0, 0.25 * np.maximum(rail_live, 0.1)
+            / np.maximum(biggest, 1e-30))
         moved = x[:, idx] + scale * update
-        x[:, idx] = xp.clip(moved, -0.5, rail_live + 0.5)
+        x[:, idx] = np.clip(moved, -0.5, rail_live + 0.5)
         done = biggest * scale < tol_v
-        converged[idx[flatnonzero(xp, done)]] = True
-        idx = idx[flatnonzero(xp, ~done)]
+        converged[idx[np.flatnonzero(done)]] = True
+        idx = idx[np.flatnonzero(~done)]
     return x, converged, sweeps
 
 
 def _dc_core(compiled: CompiledCircuit, fixed: FloatArray,
              shift_n: object, shift_p: object, x0: FloatArray,
-             tol_v: float, max_iter: int, xp: Any
-             ) -> tuple[FloatArray, int]:
-    """The scalar solver's two-phase DC strategy, batched.
+             tol_v: float, max_iter: int) -> tuple[FloatArray, int]:
+    """Two-phase DC strategy over lanes.
 
     Phase 1 is direct Newton at ``gmin = 0`` from the seed (so
     bistable lanes converge to the basin their seed lies in); lanes
@@ -391,16 +394,16 @@ def _dc_core(compiled: CompiledCircuit, fixed: FloatArray,
     x = x0.copy()
     x, converged, sweeps = _newton_batch(
         compiled, x, fixed, shift_n, shift_p, 0.0, None, None, rail,
-        tol_v, max_iter, xp)
+        tol_v, max_iter)
     total = sweeps
-    bad = flatnonzero(xp, ~converged)
+    bad = np.flatnonzero(~converged)
     if int(bad.shape[0]):
         xb = x0[:, bad].copy()
         for gmin in _GMIN_LADDER:
             xb, conv_b, sweeps = _newton_batch(
                 compiled, xb, fixed[:, bad],
                 _gather_shift(shift_n, bad), _gather_shift(shift_p, bad),
-                gmin, None, None, rail[bad], tol_v, max_iter, xp)
+                gmin, None, None, rail[bad], tol_v, max_iter)
             total += sweeps
             if not bool(np.all(conv_b)):
                 raise ConvergenceError(
@@ -420,8 +423,8 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
                    initial: Mapping[str, object] | None = None,
                    time_s: float = 0.0, tol_v: float = 1e-9,
                    max_iter: int = 80,
-                   compiled: CompiledCircuit | None = None,
-                   xp: Any = None) -> BatchDCResult:
+                   compiled: CompiledCircuit | None = None
+                   ) -> BatchDCResult:
     """Batched DC operating points of ``circuit``.
 
     Parameters
@@ -436,7 +439,7 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
         scalars or batch arrays.
     initial:
         node -> seed voltage(s) for Newton (selects the basin of
-        bistable circuits, exactly as the scalar solver).
+        bistable circuits).
     time_s:
         Waveform evaluation time [s] for sources not overridden.
     tol_v:
@@ -444,15 +447,12 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
     compiled:
         Optional pre-lowered netlist (skips recompilation in sweeps
         that reuse one topology).
-    xp:
-        Optional array namespace (numpy if omitted).
     """
     compiled = compiled or compile_circuit(circuit)
     batch_shape = _batch_shape(stimulus, dvth_n_v, dvth_p_v, initial,
                                time_s)
     lanes = int(np.prod(batch_shape)) if batch_shape else 1
     plan = _FixedPlan(compiled, stimulus, batch_shape)
-    xp = array_namespace(xp=xp)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     fixed = plan.at(time_s)
@@ -465,9 +465,8 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
             x0[compiled.unknowns.index(node)] = _as_lanes(value,
                                                           batch_shape)
     x, iterations = _dc_core(compiled, fixed, shift_n, shift_p, x0,
-                             tol_v, max_iter, xp)
-    f, _ = _assemble(compiled, x, fixed, shift_n, shift_p, 0.0, None, None,
-                     xp)
+                             tol_v, max_iter)
+    f, _ = _assemble(compiled, x, fixed, shift_n, shift_p, 0.0, None, None)
     return _pack_dc(compiled, x, fixed, f, batch_shape, iterations)
 
 
@@ -479,12 +478,12 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
                           dt_min_factor: float = 1e-6,
                           max_change_v: float | None = None,
                           tol_v: float = 1e-9, max_iter: int = 80,
-                          compiled: CompiledCircuit | None = None,
-                          xp: Any = None) -> BatchTransientResult:
+                          compiled: CompiledCircuit | None = None
+                          ) -> BatchTransientResult:
     """Batched backward-Euler transient of ``circuit``.
 
-    Same companion model and step policy as the scalar
-    :meth:`NodalSolver.solve_transient` — the step halves when Newton
+    Same companion model and step policy as the scalar reference's
+    ``NodalSolver.solve_transient`` — the step halves when Newton
     fails (down to ``dt_s * dt_min_factor``) or when any node moves
     more than ``max_change_v`` [v], and recovers by 1.5x up to
     ``dt_s`` — except the controller is **global**: all lanes share
@@ -502,7 +501,6 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
     batch_shape = _batch_shape(stimulus, dvth_n_v, dvth_p_v, initial, 0.0)
     lanes = int(np.prod(batch_shape)) if batch_shape else 1
     plan = _FixedPlan(compiled, stimulus, batch_shape)
-    xp = array_namespace(xp=xp)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     shift_n = _maybe_lanes(dvth_n_v, batch_shape)
@@ -523,7 +521,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
                 x0[compiled.unknowns.index(node)] = _as_lanes(value,
                                                               batch_shape)
         x, _ = _dc_core(compiled, fixed0, shift_n, shift_p, x0, tol_v,
-                        max_iter, xp)
+                        max_iter)
     prev_full = np.concatenate([x, plan.at(0.0)], axis=0)
     times = [0.0]
     snapshots = [prev_full.copy()]
@@ -536,7 +534,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
         rail = np.max(np.abs(fixed), axis=0)
         x_try, conv, _ = _newton_batch(
             compiled, x.copy(), fixed, shift_n, shift_p, 0.0, prev_full,
-            1.0 / step, rail, tol_v, max_iter, xp)
+            1.0 / step, rail, tol_v, max_iter)
         if not bool(np.all(conv)):
             if step <= min_step:
                 raise ConvergenceError(

@@ -4,7 +4,8 @@ A deliberately small SPICE-like circuit representation: grounded
 voltage sources (rails and inputs), two-terminal resistors and
 capacitors, and MOSFET instances referencing the compact device models.
 The paper's circuits — inverters, chains, ring oscillators, SRAM
-cells — are all expressible, and :mod:`repro.circuit.mna` solves them.
+cells — are all expressible, and :mod:`repro.circuit.mna_batch` solves
+them.
 
 Conventions
 -----------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
@@ -58,8 +57,9 @@ class SramCell:
 
     # -- read-disturbed transfer -----------------------------------------------
 
-    def read_vtc_point(self, vin: float, xtol: float = 1e-9) -> float:
-        """Storage-node voltage during a read access, for one input [V].
+    def read_vtc(self, n_points: int = 121,
+                 xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+        """Read-disturbed VTC samples ``(vin, vout)``.
 
         During a read the wordline and both bitlines sit at V_dd; the
         access transistor fights the pull-down and lifts the low node.
@@ -70,31 +70,8 @@ class SramCell:
 
         The access device's source is the storage node, drain the
         precharged bitline: ``V_gs = V_dd - V_out``, ``V_ds = V_dd - V_out``.
-        """
-        if not 0.0 <= vin <= self.vdd:
-            raise ParameterError("vin outside supply range")
-
-        def balance(vout: float) -> float:
-            i_pd = float(self.pulldown.ids(vin, vout))
-            i_pu = float(self.pullup.ids(self.vdd - vin,
-                                         max(self.vdd - vout, 0.0)))
-            i_ax = float(self.access.ids(max(self.vdd - vout, 0.0),
-                                         max(self.vdd - vout, 0.0)))
-            return i_pd - i_pu - i_ax
-
-        lo, hi = 0.0, self.vdd
-        if balance(lo) >= 0.0:
-            return lo
-        if balance(hi) <= 0.0:
-            return hi
-        return float(brentq(balance, lo, hi, xtol=xtol))
-
-    def read_vtc(self, n_points: int = 121,
-                 xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-        """Read-disturbed VTC samples ``(vin, vout)``.
-
-        Solves the three-device current balance for the whole input
-        grid in one masked vectorised bisection.
+        The balance is solved for the whole input grid in one masked
+        vectorised bisection.
         """
         vins = np.linspace(0.0, self.vdd, n_points)
         vdd = self.vdd

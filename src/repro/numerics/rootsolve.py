@@ -85,8 +85,7 @@ def _lane_count(idx) -> int:
 
 
 def bisect_masked(residual, lo, hi, *, xtol: float,
-                  max_sweeps: int | None = None, sweep_counter: str | None = None,
-                  xp=None):
+                  max_sweeps: int | None = None, sweep_counter: str | None = None):
     """Gathered bisection on monotone-increasing per-lane residuals.
 
     ``lo`` / ``hi`` are 1-D bracket arrays; each bracket must contain
@@ -96,7 +95,7 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
     ``sweep_counter`` names an optional perf counter bumped once per
     executed sweep, preserving the retired callers' counter semantics.
     """
-    xp = array_namespace(lo, hi, xp=xp)
+    xp = array_namespace(lo, hi)
     lo = as_float_copy(xp, lo)
     hi = as_float_copy(xp, hi)
     n = _lane_count(lo)
@@ -127,7 +126,7 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
                     warm_starts: WarmStarts | None = None,
                     warmup_sweeps: int = 0,
                     max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                    sweep_counter: str | None = None, xp=None
+                    sweep_counter: str | None = None
                     ) -> BracketResult:
     """Warm-started bracketing solve: bisection, then Illinois polish.
 
@@ -142,7 +141,7 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     bracket, falling back to the midpoint otherwise, so the bracket
     shrinks every sweep and the result is never worse than bisection.
     """
-    xp = array_namespace(lo, hi, xp=xp)
+    xp = array_namespace(lo, hi)
     lo_full = as_float_copy(xp, lo)
     hi_full = as_float_copy(xp, hi)
     n = _lane_count(lo_full)
@@ -225,7 +224,7 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
 
 def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
                        max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                       sweep_counter: str | None = None, xp=None):
+                       sweep_counter: str | None = None):
     """Bracketed Newton with bisection fallback over a stack of lanes.
 
     ``residual_jacobian(x, idx)`` returns ``(r, dr)`` for the gathered
@@ -241,7 +240,7 @@ def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
     outer loop is the canonical shape); the bisection solvers remain
     the right tool for the derivative-free leakage residuals.
     """
-    xp = array_namespace(lo, hi, xp=xp)
+    xp = array_namespace(lo, hi)
     lo = as_float_copy(xp, lo)
     hi = as_float_copy(xp, hi)
     n = _lane_count(lo)

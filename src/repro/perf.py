@@ -101,8 +101,9 @@ Counter names in use
 ``circuit.mna.transient_steps``
     Accepted backward-Euler steps of the batched transient engine.
 ``circuit.mna.sequential_solves``
-    Per-lane scalar NodalSolver solves run by
-    :func:`repro.reference.solve_dc_batch` and its transient twin.
+    Per-lane scalar nodal-oracle solves run by
+    :func:`repro.reference.solve_dc_batch` and its transient twin
+    (the oracle lives in ``repro.reference._nodal``).
 
 The registry below mirrors this list; ``repro lint`` (rule RPR006)
 statically checks every ``perf.bump``/``perf.get`` call site against

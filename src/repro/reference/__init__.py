@@ -28,10 +28,12 @@ from .circuit import (
 )
 from .device import ff_ss_delay_spread
 from .mna import (
+    LevelShifter,
     bitline_leakage_vs_height,
     gate_delay,
     gate_leakage,
     loaded_read_snm,
+    min_convertible_vdd,
     min_write_pulse,
     solve_dc_batch,
     solve_transient_batch,

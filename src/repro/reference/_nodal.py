@@ -1,4 +1,4 @@
-"""Nodal analysis: DC and transient solution of a :class:`Circuit`.
+"""The scalar nodal solver: the oracle behind the batched MNA twins.
 
 A compact SPICE-core equivalent:
 
@@ -14,6 +14,10 @@ A compact SPICE-core equivalent:
 
 The Jacobian is assembled by per-element finite differences, which for
 the handful-of-nodes circuits in this study is both robust and fast.
+Production solves every netlist with
+:mod:`repro.circuit.mna_batch`; this solver walks the netlist itself
+and shares nothing with it past the netlist and the gmin ladder's
+first rung, so the parity suites compare two independent engines.
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..circuit.mna_batch import _GMIN_START
+from ..circuit.netlist import GROUND, Circuit
 from ..errors import ConvergenceError, ParameterError
-from .netlist import Circuit, GROUND
 
 #: Perturbation for the finite-difference Jacobian [V].
 _FD_STEP = 1e-7
-#: Conductance floor added from every node to ground during gmin
-#: stepping [S]; relaxed geometrically to zero.
-_GMIN_START = 1e-6
 
 
 @dataclass(frozen=True)

@@ -109,12 +109,33 @@ butterfly_snm = rebind(snm_mod.butterfly_snm, _lobe_square=_lobe_square)
 class SramCell(sram_mod.SramCell):
     """:class:`repro.circuit.SramCell` with a per-point read VTC."""
 
+    def _read_vtc_point(self, vin: float, xtol: float = 1e-9) -> float:
+        """Storage-node voltage during a read access, for one input
+        [V]: one Brent solve of the read current balance."""
+        if not 0.0 <= vin <= self.vdd:
+            raise ParameterError("vin outside supply range")
+
+        def balance(vout: float) -> float:
+            i_pd = float(self.pulldown.ids(vin, vout))
+            i_pu = float(self.pullup.ids(self.vdd - vin,
+                                         max(self.vdd - vout, 0.0)))
+            i_ax = float(self.access.ids(max(self.vdd - vout, 0.0),
+                                         max(self.vdd - vout, 0.0)))
+            return i_pd - i_pu - i_ax
+
+        lo, hi = 0.0, self.vdd
+        if balance(lo) >= 0.0:
+            return lo
+        if balance(hi) <= 0.0:
+            return hi
+        return float(brentq(balance, lo, hi, xtol=xtol))
+
     def read_vtc(self, n_points: int = 121,
                  xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         """Read-disturbed VTC samples ``(vin, vout)``, one Brent solve
         per point."""
         vins = np.linspace(0.0, self.vdd, n_points)
-        vouts = np.array([self.read_vtc_point(float(v), xtol=xtol)
+        vouts = np.array([SramCell._read_vtc_point(self, float(v), xtol=xtol)
                           for v in vins])
         return vins, vouts
 

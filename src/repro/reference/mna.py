@@ -1,8 +1,10 @@
-"""Per-lane :class:`~repro.circuit.mna.NodalSolver` twins of the
-batched nodal engine, and the array and gate flows bound to them.
+"""Scalar nodal-oracle twins of the batched MNA engine and its flows.
 
-Each lane is a rebuilt scalar circuit (shifted devices via
-``with_vth_offset``); the engines share nothing past the netlist.
+The engine twins run every lane through
+:class:`~repro.reference._nodal.NodalSolver`; the array, gate and
+level-shifter flows are bound to them.  Each lane is a rebuilt scalar
+circuit (shifted devices via ``with_vth_offset``); the engines share
+nothing past the netlist.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .. import perf
-from ..circuit import gate_netlists, sram_array
+from ..circuit import gate_netlists, level_shifter, sram_array
 from ..circuit.compile import CompiledCircuit, compile_circuit
-from ..circuit.mna import NodalSolver
 from ..circuit.mna_batch import (
     BatchDCResult,
     BatchTransientResult,
@@ -26,6 +27,7 @@ from ..circuit.mna_batch import (
 from ..circuit.netlist import Circuit
 from ..device.mosfet import Polarity
 from ..errors import ParameterError
+from ._nodal import NodalSolver
 from ._rebind import rebind
 from .circuit import butterfly_snm
 
@@ -204,3 +206,44 @@ write_trip_voltage = rebind(sram_array.write_trip_voltage,
 
 min_write_pulse = rebind(sram_array.min_write_pulse,
                          solve_transient_batch=solve_transient_batch)
+
+
+class LevelShifter(level_shifter.LevelShifter):
+    """:class:`repro.circuit.LevelShifter`, one scalar transient per input."""
+
+    def output_levels(self, vin: float) -> tuple[float, float]:
+        """Settled (out, outb) after an input edge to ``vin`` [V], from
+        the opposite output state, by one scalar transient."""
+        if not 0.0 <= vin <= self.vdd_low:
+            raise ParameterError("vin outside the low domain")
+        circuit = self._build(vin)
+        solver = NodalSolver(circuit)
+        high_input = vin > self.vdd_low / 2.0
+        start = {"out": 0.0 if high_input else self.vdd_high,
+                 "outb": self.vdd_high if high_input else 0.0,
+                 "inb": self.vdd_low - vin}
+        horizon = self._horizon_s()
+        result = solver.solve_transient(
+            horizon, horizon / 400.0, initial=start,
+            use_initial_conditions=True,
+        )
+        return (float(result.voltages["out"][-1]),
+                float(result.voltages["outb"][-1]))
+
+    def converts_correctly(self, margin: float = 0.10) -> bool:
+        """True when both input states, settled one at a time, produce
+        full-swing outputs (``margin`` as a fraction of V_dd,high)."""
+        return self._full_swing(self.output_levels(self.vdd_low),
+                                self.output_levels(0.0), margin)
+
+
+def min_convertible_vdd(shifter: level_shifter.LevelShifter,
+                        lo: float = 0.08, hi: float | None = None,
+                        tol: float = 0.005) -> float:
+    """The production bisection over scalar-transient verdicts.
+
+    Lowest input supply [V] the shifter still converts from, with
+    ``lo`` / ``hi`` / ``tol`` in [V].
+    """
+    return level_shifter.min_convertible_vdd(LevelShifter(**vars(shifter)),
+                                             lo=lo, hi=hi, tol=tol)

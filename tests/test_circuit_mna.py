@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.circuit import Inverter
-from repro.circuit.mna import NodalSolver
+from repro.circuit.mna_batch import solve_dc_batch
 from repro.circuit.netlist import Circuit
 from repro.errors import ParameterError
+from repro.reference._nodal import NodalSolver
 
 VDD = 0.25
 
@@ -46,6 +47,17 @@ class TestDcInverter:
         mna = NodalSolver(circuit).solve_dc()
         reference = Inverter(nfet90, pfet90, VDD).vtc_point(vin)
         assert mna["out"] == pytest.approx(reference, abs=1e-4)
+
+    def test_batched_engine_matches_specialized_solver(self, nfet90,
+                                                       pfet90):
+        """The production MNA engine reproduces the specialised VTC
+        solver over a V_in sweep, one lane per input."""
+        vins = np.linspace(0.0, VDD, 11)
+        result = solve_dc_batch(inverter_circuit(nfet90, pfet90, 0.0),
+                                stimulus={"vin": vins})
+        inverter = Inverter(nfet90, pfet90, VDD)
+        expected = [inverter.vtc_point(float(v)) for v in vins]
+        assert result["out"] == pytest.approx(expected, abs=1e-4)
 
     def test_two_stage_buffer(self, nfet90, pfet90):
         c = Circuit()
@@ -139,7 +151,7 @@ class TestCrossingTimeEdges:
 
     @staticmethod
     def _result(values):
-        from repro.circuit.mna import TransientResult
+        from repro.reference._nodal import TransientResult
         wave = np.asarray(values, dtype=float)
         return TransientResult(time_s=np.arange(wave.size, dtype=float),
                                voltages={"n": wave})

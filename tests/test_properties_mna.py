@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.compile import compile_circuit
-from repro.circuit.mna import NodalSolver
 from repro.circuit.mna_batch import _assemble, solve_dc_batch
 from repro.circuit.netlist import Circuit
 from repro.device import nfet, pfet
 from repro.io import device_from_dict, device_to_dict
+from repro.reference._nodal import NodalSolver
 
 resistances = st.floats(min_value=10.0, max_value=1e7)
 
@@ -156,11 +156,11 @@ class TestAnalyticJacobian:
 
         def residual(xv):
             f, _ = _assemble(compiled, xv, fixed, shifts, shift, 0.0, prev,
-                             inv_dt, np)
+                             inv_dt)
             return f[:n]
 
         _, jac = _assemble(compiled, x, fixed, shifts, shift, 0.0, prev,
-                           inv_dt, np)
+                           inv_dt)
         h = 1e-6
         for col in range(n):
             step = np.zeros((n, 1))

@@ -22,8 +22,9 @@ The suites:
   the ``ext_yield`` experiment) -> ``BENCH_variability.json``;
 * ``arrays`` — the compiled batched MNA engine
   (``benchmarks/test_bench_arrays.py``: the 512-lane SRAM-column DC
-  workload, its >= 10x per-lane speedup gate vs the looped
-  NodalSolver oracle, the binary-searched write pulse, and the
+  workload, its >= 10x per-lane speedup gate vs the looped scalar
+  nodal oracle (``repro.reference.solve_dc_batch``), the
+  binary-searched write pulse, and the
   ``ext_array`` experiment) -> ``BENCH_arrays.json``.
 
 Committing the summary after perf-relevant PRs builds up the
