@@ -1,9 +1,9 @@
 """Benches: the batched design-space engine (scaling flows).
 
-Each optimiser flow is timed cold — the device-construction memo and
-the warm-start bracket cache are cleared before every round — and
-paired with its sequential twin from :mod:`repro.reference` so
-``BENCH_flows.json`` records the before/after of the vectorisation.
+Each optimiser flow is timed cold — the warm-start bracket cache is
+cleared before every round — and paired with its sequential twin from
+:mod:`repro.reference` so ``BENCH_flows.json`` records the
+before/after of the vectorisation.
 The sequential sub-V_th sweeps are the slow half; set
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) to skip them.
 """
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import perf, reference
-from repro.cache import device_memo
 from repro.device.mosfet import Polarity
 from repro.scaling.batch import bracket_memo, optimize_doping_stack
 from repro.scaling.multivth import derive_flavours
@@ -31,7 +30,6 @@ slow = pytest.mark.skipif(
 
 def _cold():
     """Clear the caches a prior round (or fixture) may have warmed."""
-    device_memo.clear()
     bracket_memo.clear()
 
 

@@ -1,16 +1,13 @@
-"""Caching layers: in-process construction memos and an on-disk store.
+"""Caching layers: a bounded in-process memo and an on-disk store.
 
-Two independent layers, both instrumented through :mod:`repro.perf`:
+Both layers are instrumented through :mod:`repro.perf`:
 
-**Device memo** (always on unless ``REPRO_DEVICE_CACHE=0``): the
-scaling optimisers root-solve leakage by rebuilding a
-:class:`~repro.device.mosfet.MOSFET` at every residual evaluation, and
-sweeps/benchmarks rebuild the same devices again afterwards.  Devices
-are immutable (frozen dataclasses), so construction is memoised on the
-full parameter tuple in a bounded LRU table and identical rebuilds are
-free.
+**In-process memo** (:class:`LRUMemo`): a bounded, thread-safe table
+that reports ``cache.<name>.hits`` / ``cache.<name>.misses``.  Its one
+tenant is the doping solver's warm-start bracket cache,
+:data:`repro.scaling.batch.bracket_memo`.
 
-**Family disk cache** (opt-in): optimising a Table 2/3
+**Disk cache** (opt-in): optimising a Table 2/3
 :class:`~repro.scaling.strategy.DeviceFamily` costs seconds of
 root-solving but is a pure function of the model source code.  When
 enabled, optimised families are persisted as JSON through
@@ -25,13 +22,11 @@ physics/optimiser source files — any model change changes the hash and
 silently invalidates old entries.  To invalidate manually, delete the
 cache directory (or call :func:`clear_disk_cache`).
 
-The cache directory has three tenants, all keyed by the same schema
+The cache directory has two tenants, both keyed by the same schema
 hash (see ``docs/TUTORIAL.md`` for the full layout):
 
 * family entries — ``{tag}-{hash}.json``, optimised
   :class:`~repro.scaling.strategy.DeviceFamily` JSON;
-* the bracket spill — ``brackets-{hash}.json``, the doping solver's
-  warm-start table (:func:`load_brackets` / :func:`store_brackets`);
 * grid tensors — ``grid-{grid_id}-{hash}.npz``, the design-space
   service's precomputed metric grids (:func:`grid_path`; built by
   ``repro grid build``, written/read by :mod:`repro.service.grid`).
@@ -40,7 +35,6 @@ hash (see ``docs/TUTORIAL.md`` for the full layout):
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 import threading
@@ -109,15 +103,6 @@ class LRUMemo:
         return len(self._table)
 
 
-#: Memo for :func:`repro.device.mosfet.nfet` / ``pfet`` construction.
-device_memo = LRUMemo("device", maxsize=8192)
-
-
-def device_cache_enabled() -> bool:
-    """Whether the in-process device memo is active (default yes)."""
-    return os.environ.get("REPRO_DEVICE_CACHE", "1") != "0"
-
-
 # -- on-disk family cache -----------------------------------------------------
 
 def cache_dir() -> pathlib.Path | None:
@@ -171,8 +156,8 @@ def load_family(tag: str):
     if directory is None:
         return None
     path = _entry_path(tag, directory)
-    # Imported lazily: io.serialize imports the device layer, which
-    # imports this module for the construction memo.
+    # Imported lazily: io.serialize pulls in the analysis and device
+    # layers, and the scaling layer imports this module for LRUMemo.
     from .io.serialize import family_from_dict, load_json
     try:
         family = family_from_dict(load_json(path))
@@ -197,80 +182,6 @@ def store_family(tag: str, family) -> None:
     perf.bump("cache.family.stores")
 
 
-# -- on-disk bracket spill ----------------------------------------------------
-#
-# The scaling doping solver's warm-start brackets (repro.scaling.batch)
-# are scoped to one flow invocation, so cold invocations re-derive every
-# root from the full doping bounds.  When the disk cache is enabled the
-# solver spills each cold-converged final bracket here — keyed by the
-# same model schema hash as the family cache, so model edits silently
-# invalidate old brackets — and replays it on the next invocation.
-# Replayed brackets are already below the solver tolerance, which makes
-# replay byte-deterministic: the lane retires before its first sweep
-# with exactly the midpoint a cold solve would return.
-
-_BRACKET_TAG = "brackets"
-_BRACKET_TABLES: dict[pathlib.Path, dict[str, list[float]]] = {}
-_BRACKET_LOCK = threading.Lock()
-
-
-def load_brackets() -> dict[str, list[float]] | None:
-    """The on-disk bracket table, or None when the cache is disabled.
-
-    The table maps the solver's exact string keys to ``[lo, hi]``
-    bracket pairs.  It is read once per process per cache directory and
-    shared with :func:`store_brackets`, which mutates and persists it.
-    """
-    directory = cache_dir()
-    if directory is None:
-        return None
-    path = _entry_path(_BRACKET_TAG, directory)
-    with _BRACKET_LOCK:
-        table = _BRACKET_TABLES.get(path)
-        if table is None:
-            try:
-                payload = json.loads(path.read_text())
-                entries = (payload.get("entries", {})
-                           if payload.get("schema") == 1 else {})
-            except (OSError, ValueError, AttributeError):
-                entries = {}
-            table = {str(key): [float(pair[0]), float(pair[1])]
-                     for key, pair in entries.items()
-                     if isinstance(pair, (list, tuple)) and len(pair) == 2}
-            _BRACKET_TABLES[path] = table
-    return table
-
-
-def store_brackets(entries: dict[str, tuple[float, float]]) -> None:
-    """Merge solved brackets into the table and persist it atomically.
-
-    No-op when the cache is disabled or ``entries`` is empty.  JSON
-    serialises floats via ``repr`` (shortest round-trip), so replayed
-    brackets are bitwise the ones that were spilled.
-
-    Safe under concurrent writers: the temp file is per-process, so
-    parallel shard workers (``repro grid build --jobs N``) cannot
-    replace each other's temp out from underneath the rename.  A
-    concurrent writer can still win the final rename — the spill is a
-    warm-start accelerator, and losing entries never changes results
-    (replayed and cold brackets retire to bitwise-identical roots).
-    """
-    table = load_brackets()
-    if table is None or not entries:
-        return
-    directory = cache_dir()
-    assert directory is not None
-    with _BRACKET_LOCK:
-        for key, (lo, hi) in entries.items():
-            table[str(key)] = [float(lo), float(hi)]
-        directory.mkdir(parents=True, exist_ok=True)
-        path = _entry_path(_BRACKET_TAG, directory)
-        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(
-            {"schema": 1, "entries": table}, sort_keys=True))
-        tmp.replace(path)
-
-
 # -- design-space grid tensors ------------------------------------------------
 
 def grid_path(grid_id: str) -> pathlib.Path | None:
@@ -291,8 +202,8 @@ def grid_path(grid_id: str) -> pathlib.Path | None:
 def clear_disk_cache() -> int:
     """Delete every entry in the disk cache; returns the count removed.
 
-    Covers all three tenants: family JSON, the bracket spill, and the
-    design-space grid tensors (``*.npz``).
+    Covers both tenants: family JSON and the design-space grid tensors
+    (``*.npz``).
     """
     directory = cache_dir()
     if directory is None or not directory.is_dir():
@@ -302,6 +213,4 @@ def clear_disk_cache() -> int:
         for path in directory.glob(pattern):
             path.unlink(missing_ok=True)
             removed += 1
-    with _BRACKET_LOCK:
-        _BRACKET_TABLES.clear()
     return removed

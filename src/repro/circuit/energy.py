@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .. import perf
-from ..errors import ParameterError
+from ..errors import ParameterError, VminBoundaryError
 from .delay import K_D_DEFAULT, analytic_delay
 from .inverter import Inverter
 from .transient import propagation_delay
@@ -171,7 +171,7 @@ def find_vmin(inverter: Inverter, n_stages: int = 30, activity: float = 0.1,
     """Locate the minimum-energy supply voltage V_min.
 
     A coarse geometric grid brackets the minimum, then bounded scalar
-    minimisation refines it.  Raises :class:`ParameterError` when the
+    minimisation refines it.  Raises :class:`VminBoundaryError` when the
     minimum sits on the sweep boundary (no interior V_min in range).
 
     The bracketing grid is one :func:`chain_energy_sweep` array
@@ -195,7 +195,7 @@ def find_vmin(inverter: Inverter, n_stages: int = 30, activity: float = 0.1,
                                       k_d=k_d)
     idx = int(np.argmin(energies))
     if idx == 0 or idx == n_grid - 1:
-        raise ParameterError(
+        raise VminBoundaryError(
             f"energy minimum at sweep boundary (V_dd = {grid[idx]:.3f} V); "
             "widen [vdd_lo, vdd_hi]"
         )

@@ -48,6 +48,7 @@ from ..materials.silicon import bandgap_ev, intrinsic_concentration
 from . import ekv
 from .doping import (
     _SQRT_2PI,
+    HaloImplant,
     HALO_DEPTH_FRACTION,
     HALO_SIGMA_X_FRACTION,
     HALO_SIGMA_Y_FRACTION,
@@ -156,42 +157,15 @@ class ParameterStack:
         """A stack whose lanes replicate constructed MOSFETs.
 
         Lane ``i`` carries ``devices[i]``'s geometry, oxide and
-        polarity, with the reference length recovered from the stored
-        overlap (the inverse of :meth:`DeviceGeometry.proportional`),
-        so ``stack.metrics(n_sub, n_p_halo)`` with the devices' own
-        dopings reproduces their scalar metrics to the batch layer's
-        usual ulp-level agreement.  Used by the design-space grid fill
-        (:mod:`repro.service.grid`) to evaluate optimised devices over
-        a whole V_dd axis at once; :func:`repro.device.corners.corner_grid`
-        applies the same reconstruction with corner shifts folded in.
-
-        All devices must share a temperature and carry no per-device
-        V_th offset (offsets have no stack representation).
+        polarity (see :func:`device_lanes`), so ``stack.metrics(n_sub,
+        n_p_halo)`` with the devices' own dopings reproduces their
+        scalar metrics to the batch layer's usual ulp-level agreement.
+        Used by the design-space grid fill (:mod:`repro.service.grid`)
+        to evaluate optimised devices over a whole V_dd axis at once.
         """
-        from . import geometry as geometry_mod
         devices = tuple(devices)
-        if not devices:
-            raise ParameterError("need at least one device")
-        for dev in devices:
-            if dev.vth_offset_v:
-                raise ParameterError(
-                    "stacks cannot carry per-device V_th offsets")
-            if dev.temperature_k != devices[0].temperature_k:
-                raise ParameterError("stack devices must share T")
-        as_array = np.asarray
-        return cls(
-            l_poly_nm=as_array([d.geometry.l_poly_nm for d in devices]),
-            t_ox_nm=as_array([d.stack.thickness_cm / CM_PER_NM
-                              for d in devices]),
-            is_nfet=as_array([d.polarity is Polarity.NFET for d in devices]),
-            width_um=as_array([d.geometry.width_um for d in devices]),
-            reference_nm=as_array([
-                d.geometry.overlap_cm / geometry_mod.OVERLAP_FRACTION
-                / CM_PER_NM
-                for d in devices
-            ]),
-            temperature_k=devices[0].temperature_k,
-        )
+        return cls(**device_lanes(devices),
+                   temperature_k=devices[0].temperature_k)
 
     def take(self, idx) -> "ParameterStack":
         """The sub-stack at flat lane indices ``idx`` (1-D result).
@@ -312,6 +286,53 @@ class ParameterStack:
             sce_barrier_v=barrier, sce_e1=e1, sce_e2=e2, slope_factor=m,
             mu_low=self._low_field_mobility(n_eff),
         )
+
+
+def device_lanes(devices) -> dict[str, np.ndarray]:
+    """The per-lane :class:`ParameterStack` inputs of ``devices``.
+
+    Returns ``l_poly_nm``, ``t_ox_nm``, ``is_nfet``, ``width_um`` and
+    ``reference_nm`` arrays, one lane per device, with the reference
+    length recovered from the stored overlap (the inverse of
+    :meth:`repro.device.geometry.DeviceGeometry.proportional`).
+
+    A stack models exactly what :func:`repro.device.mosfet.nfet` /
+    ``pfet`` build: an SiO2 gate, a halo sized by
+    :meth:`repro.device.doping.HaloImplant.for_geometry`, no V_th
+    offset and one shared temperature.  Any other device raises
+    :class:`ParameterError` instead of silently evaluating a different
+    device in its lane.
+    """
+    from . import geometry as geometry_mod
+    devices = tuple(devices)
+    if not devices:
+        raise ParameterError("need at least one device")
+    for dev in devices:
+        if dev.vth_offset_v:
+            raise ParameterError(
+                "stacks cannot carry per-device V_th offsets")
+        if dev.temperature_k != devices[0].temperature_k:
+            raise ParameterError("stack devices must share T")
+        if dev.stack.rel_permittivity != EPS_OX_REL:
+            raise ParameterError(
+                f"stacks model SiO2 gates only, got {dev.stack.name}")
+        halo = dev.profile.halo
+        if halo is not None and halo != HaloImplant.for_geometry(
+                dev.geometry, halo.peak_cm3):
+            raise ParameterError(
+                "stacks model HaloImplant.for_geometry halos only")
+    return {
+        "l_poly_nm": np.asarray([d.geometry.l_poly_nm for d in devices]),
+        "t_ox_nm": np.asarray([d.stack.thickness_cm / CM_PER_NM
+                               for d in devices]),
+        "is_nfet": np.asarray([d.polarity is Polarity.NFET
+                               for d in devices]),
+        "width_um": np.asarray([d.geometry.width_um for d in devices]),
+        "reference_nm": np.asarray([
+            d.geometry.overlap_cm / geometry_mod.OVERLAP_FRACTION / CM_PER_NM
+            for d in devices
+        ]),
+    }
 
 
 class BatchDeviceMetrics:

@@ -22,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..constants import CM_PER_NM
 from ..errors import ParameterError
 from ..materials.oxide import GateStack
-from .batch import BatchDeviceMetrics, ParameterStack
+from .batch import BatchDeviceMetrics, ParameterStack, device_lanes
 from .mosfet import MOSFET, Polarity
 
 #: Default 3-sigma global variation magnitudes.
@@ -112,7 +111,8 @@ def corner_grid(devices: Sequence[MOSFET], corners: Sequence[Corner],
     product grid — lanes ordered device-major, so lane ``i * len(corners)
     + j`` is ``devices[i]`` at ``corners[j]`` — and evaluates it in one
     batched metrics pass.  The stack inputs are reconstructed from each
-    device's own geometry/stack/profile and shifted by the same
+    device by :func:`repro.device.batch.device_lanes` (which rejects
+    devices a stack cannot represent) and shifted by the same
     ``tox_factor`` / ``dope_factor`` multipliers :func:`at_corner`
     applies, so grid metrics agree with the shifted scalar devices to
     the batch layer's equivalence budget.
@@ -120,39 +120,22 @@ def corner_grid(devices: Sequence[MOSFET], corners: Sequence[Corner],
     spec = spec or CornerSpec()
     devices = tuple(devices)
     corners = tuple(corners)
-    if not devices or not corners:
-        raise ParameterError("corner grid needs devices and corners")
-    for dev in devices:
-        if dev.vth_offset_v:
-            raise ParameterError(
-                "corner grids cannot carry per-device V_th offsets"
-            )
-        if dev.temperature_k != devices[0].temperature_k:
-            raise ParameterError("corner grid devices must share T")
+    if not corners:
+        raise ParameterError("corner grid needs at least one corner")
+    lanes = {name: np.repeat(values, len(corners))
+             for name, values in device_lanes(devices).items()}
 
     signs = np.array([_SIGNS[c] for c in corners], dtype=float)
     tox_factor = np.tile(1.0 + signs[:, 0] * spec.tox_sigma_pct / 100.0,
                          len(devices))
     dope_factor = np.tile(1.0 + signs[:, 1] * spec.doping_sigma_pct / 100.0,
                           len(devices))
+    lanes["t_ox_nm"] = lanes["t_ox_nm"] * tox_factor
+    stack = ParameterStack(**lanes, temperature_k=devices[0].temperature_k)
 
     def per_device(values: Sequence[float]) -> np.ndarray:
         return np.repeat(np.asarray(values, dtype=float), len(corners))
 
-    from . import geometry as geometry_mod
-    stack = ParameterStack(
-        l_poly_nm=per_device([d.geometry.l_poly_nm for d in devices]),
-        t_ox_nm=per_device([d.stack.thickness_cm / CM_PER_NM
-                            for d in devices]) * tox_factor,
-        is_nfet=np.repeat([d.polarity is Polarity.NFET for d in devices],
-                          len(corners)),
-        width_um=per_device([d.geometry.width_um for d in devices]),
-        reference_nm=per_device([
-            d.geometry.overlap_cm / geometry_mod.OVERLAP_FRACTION / CM_PER_NM
-            for d in devices
-        ]),
-        temperature_k=devices[0].temperature_k,
-    )
     return stack.metrics(
         per_device([d.profile.n_sub_cm3 for d in devices]) * dope_factor,
         per_device([d.profile.n_p_halo_cm3 for d in devices]) * dope_factor,

@@ -34,9 +34,10 @@ from ..materials.mobility import MobilityModel
 from ..materials.oxide import GateStack
 from . import ekv
 from .doping import DopingProfile
+from .electrostatics import self_consistent_channel_doping
 from .geometry import DeviceGeometry
 from .subthreshold import inverse_subthreshold_slope
-from .threshold import ThresholdModel
+from .threshold import vth_long_channel
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class IVModel:
     stack: GateStack
     mobility: MobilityModel = field(default_factory=MobilityModel)
     temperature_k: float = T_ROOM
-    gate: str = "n+poly"
     #: Additive V_th perturbation [V] — the hook Monte-Carlo variability
     #: analysis uses to model random dopant fluctuation.
     vth_offset_v: float = 0.0
@@ -71,12 +71,13 @@ class IVModel:
                                   default=None)
 
     def __post_init__(self) -> None:
-        tm = ThresholdModel(self.geometry, self.profile, self.stack,
-                            self.temperature_k, gate=self.gate)
-        n_eff, w_dep = tm.channel_state()
+        n_eff, w_dep = self_consistent_channel_doping(
+            self.profile, self.geometry.l_eff_cm,
+            temperature_k=self.temperature_k)
         object.__setattr__(self, "_n_eff", n_eff)
         object.__setattr__(self, "_w_dep", w_dep)
-        object.__setattr__(self, "_vth0", tm.vth0())
+        object.__setattr__(self, "_vth0", vth_long_channel(
+            n_eff, self.stack, self.temperature_k))
         # The pieces of delta_vth_sce go on the card, so vth(vds) is
         # closed-form.
         from ..materials.silicon import built_in_potential, fermi_potential

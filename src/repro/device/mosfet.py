@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 from scipy.optimize import brentq
 
-from ..cache import device_cache_enabled, device_memo
 from ..constants import T_ROOM, nm_to_cm, CM_PER_UM
 from ..errors import ParameterError
 from ..materials.mobility import MobilityModel
@@ -57,15 +56,13 @@ class MOSFET:
     _iv: IVModel = field(init=False, repr=False, default=None)
     _cap: CapacitanceModel = field(init=False, repr=False, default=None)
     _threshold: ThresholdModel = field(init=False, repr=False, default=None)
-    #: Per-instance memo for scalar metrics (i_off/i_on/vth_sat_cc).
-    #: Devices are immutable and shared through the construction memo,
-    #: so the optimiser root-solves re-request the same metric at the
-    #: same bias thousands of times.
+    #: Per-instance memo for scalar metrics (i_off/i_on/vth_sat_cc):
+    #: devices are immutable, and tables, sweeps and selection rules
+    #: re-request the same metric at the same bias.
     _metrics: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         carrier = "electron" if self.polarity is Polarity.NFET else "hole"
-        gate = "n+poly" if self.polarity is Polarity.NFET else "p+poly"
         mobility = MobilityModel(carrier=carrier,
                                  temperature_k=self.temperature_k)
         # For the PFET we reuse the n-channel-referenced electrostatics
@@ -74,7 +71,7 @@ class MOSFET:
         # when we keep the n+poly formulation with hole mobility.
         iv = IVModel(self.geometry, self.profile, self.stack,
                      mobility=mobility, temperature_k=self.temperature_k,
-                     gate="n+poly", vth_offset_v=self.vth_offset_v)
+                     vth_offset_v=self.vth_offset_v)
         object.__setattr__(self, "_iv", iv)
         object.__setattr__(self, "_cap", CapacitanceModel(
             self.geometry, self.profile, self.stack, self.temperature_k))
@@ -226,35 +223,14 @@ class MOSFET:
 def _build(polarity: Polarity, l_poly_nm: float, t_ox_nm: float,
            n_sub_cm3: float, n_p_halo_cm3: float, width_um: float,
            reference_nm: float | None, temperature_k: float) -> MOSFET:
-    # Construction is memoised: MOSFETs are immutable, and the scaling
-    # root-solves rebuild the same parameter points over and over.  The
-    # calibration constants are module globals that the sensitivity
-    # context manager overrides in place, so they belong to the key.
-    from . import geometry as geometry_mod
-    from . import subthreshold as subthreshold_mod
-    from . import threshold as threshold_mod
-
-    memoise = device_cache_enabled()
-    key = (polarity.value, l_poly_nm, t_ox_nm, n_sub_cm3, n_p_halo_cm3,
-           width_um, reference_nm, temperature_k,
-           geometry_mod.OVERLAP_FRACTION, threshold_mod.LT_CALIBRATION,
-           subthreshold_mod.SCE_PREFACTOR_DEFAULT)
-    if memoise:
-        cached = device_memo.get(key)
-        if cached is not None:
-            return cached
     geometry = DeviceGeometry.from_nm(l_poly_nm, width_um=width_um,
                                       reference_nm=reference_nm)
     halo = None
     if n_p_halo_cm3 > 0.0:
         halo = HaloImplant.for_geometry(geometry, n_p_halo_cm3)
     profile = DopingProfile(n_sub_cm3=n_sub_cm3, halo=halo)
-    stack = sio2(nm_to_cm(t_ox_nm))
-    device = MOSFET(polarity=polarity, geometry=geometry, profile=profile,
-                    stack=stack, temperature_k=temperature_k)
-    if memoise:
-        device_memo.put(key, device)
-    return device
+    return MOSFET(polarity=polarity, geometry=geometry, profile=profile,
+                  stack=sio2(nm_to_cm(t_ox_nm)), temperature_k=temperature_k)
 
 
 def nfet(l_poly_nm: float, t_ox_nm: float, n_sub_cm3: float,

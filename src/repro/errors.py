@@ -47,6 +47,15 @@ class LostRegenerationError(ParameterError):
         self.code = code
 
 
+class VminBoundaryError(ParameterError):
+    """The energy minimum sits on the edge of the V_dd sweep.
+
+    Raised by :func:`repro.circuit.energy.find_vmin` when the coarse
+    grid's minimum is its first or last point, so no interior V_min
+    exists in range.  The service layer serves this as a null value.
+    """
+
+
 class ConvergenceError(ReproError, RuntimeError):
     """An iterative solver failed to converge.
 

@@ -12,18 +12,13 @@ package is the single implementation all batched engines now call:
 * :func:`newton_safeguarded` — bracketed Newton with bisection
   fallback (the seam for derivative-bearing residuals).
 
-Two properties distinguish it from the loops it replaced:
-
-1. **Active-set compression**: each sweep *gathers* the unconverged
-   lanes (``numpy.flatnonzero``) and hands the residual callback only
-   the live subset, instead of evaluating every lane under a mask.
-   On tail-heavy stacks most lanes retire early and stop costing
-   device physics.  Per-lane arithmetic is unchanged — every residual
-   in this repository is elementwise — so gathered and masked paths
-   agree bitwise.
-2. **Array-namespace seam**: the solvers resolve their array module
-   from the operands (``__array_namespace__`` duck typing, numpy
-   default) so a cupy/jax backend drops in without touching callers.
+What distinguishes it from the loops it replaced is **active-set
+compression**: each sweep *gathers* the unconverged lanes
+(``numpy.flatnonzero``) and hands the residual callback only the live
+subset, instead of evaluating every lane under a mask.  On tail-heavy
+stacks most lanes retire early and stop costing device physics.
+Per-lane arithmetic is unchanged — every residual in this repository
+is elementwise — so gathered and masked paths agree bitwise.
 
 Residual callbacks receive ``(x, idx)``: the gathered abscissae and
 the integer indices of the lanes they belong to, so closures can slice
@@ -34,7 +29,6 @@ record lanes evaluated vs lanes carried per sweep; their ratio is the
 measured compression (see the provenance footers in docs/RESULTS.md).
 """
 
-from .backend import array_namespace, gather, scatter
 from .rootsolve import (
     BracketResult,
     WarmStarts,
@@ -44,9 +38,6 @@ from .rootsolve import (
 )
 
 __all__ = [
-    "array_namespace",
-    "gather",
-    "scatter",
     "BracketResult",
     "WarmStarts",
     "bisect_illinois",

@@ -16,11 +16,11 @@ Conventions
 * Lanes whose initial bracket is already at or below ``xtol`` never
   enter the active set: their root is the bracket midpoint.  Warm
   starts exploit this — a sign-verified bracket of width <= ``xtol``
-  (e.g. replayed from the disk spill) retires instantly with the same
-  midpoint a cold solve would have produced.
+  retires instantly with the same midpoint a cold solve would have
+  produced.
 * Equivalence: for lanes present in both, the gathered iteration
   reproduces the retired masked loops bitwise, because all residuals
-  are elementwise and gather/scatter only re-indexes them.
+  are elementwise and the gathered updates only re-index them.
 
 Counters: each sweep bumps ``numerics.total_lanes`` by the stack width
 and ``numerics.active_lanes`` by the lanes actually evaluated; their
@@ -31,12 +31,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .. import perf
-from .backend import array_namespace, as_float_copy, flatnonzero, scatter
 
 __all__ = ["BracketResult", "WarmStarts", "bisect_masked",
            "bisect_illinois", "newton_safeguarded"]
+
+#: ``residual(x, idx)``: gathered abscissae and their lane indices ->
+#: residuals of those lanes.
+Residual = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``residual_jacobian(x, idx)`` -> ``(r, dr/dx)`` of the gathered lanes.
+ResidualJacobian = Callable[[np.ndarray, np.ndarray],
+                            tuple[np.ndarray, np.ndarray]]
 
 #: Hard sweep cap of :func:`bisect_illinois` (bisection alone would
 #: need ~45 sweeps to cross typical bounds; Illinois converges sooner).
@@ -53,9 +62,9 @@ class WarmStarts:
     starts can only cost performance, never correctness.
     """
 
-    lo: object
-    hi: object
-    mask: object
+    lo: np.ndarray
+    hi: np.ndarray
+    mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,22 +79,19 @@ class BracketResult:
     survived verification; ``sweeps`` counts executed sweeps.
     """
 
-    root: object
-    lo: object
-    hi: object
-    feasible: object
-    r_lo: object
-    r_hi: object
-    warm_used: object
+    root: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    feasible: np.ndarray
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    warm_used: np.ndarray
     sweeps: int
 
 
-def _lane_count(idx) -> int:
-    return int(idx.shape[0])
-
-
-def bisect_masked(residual, lo, hi, *, xtol: float,
-                  max_sweeps: int | None = None, sweep_counter: str | None = None):
+def bisect_masked(residual: Residual, lo: np.ndarray, hi: np.ndarray, *,
+                  xtol: float, max_sweeps: int | None = None,
+                  sweep_counter: str | None = None) -> np.ndarray:
     """Gathered bisection on monotone-increasing per-lane residuals.
 
     ``lo`` / ``hi`` are 1-D bracket arrays; each bracket must contain
@@ -95,26 +101,23 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
     ``sweep_counter`` names an optional perf counter bumped once per
     executed sweep, preserving the retired callers' counter semantics.
     """
-    xp = array_namespace(lo, hi)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
-    n = _lane_count(lo)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    n = lo.shape[0]
     if max_sweeps is None:
-        max_width = float(xp.max(hi - lo)) if n else 0.0
+        max_width = float(np.max(hi - lo)) if n else 0.0
         max_sweeps = max(int(math.ceil(math.log2(
             max(max_width, xtol) / xtol))) + 2, 1)
-    idx = flatnonzero(xp, (hi - lo) > xtol)
+    idx = np.flatnonzero((hi - lo) > xtol)
     for _ in range(max_sweeps):
-        live = _lane_count(idx)
+        live = idx.shape[0]
         if not live:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
         neg = residual(mid, idx) < 0.0
-        neg_i = flatnonzero(xp, neg)
-        pos_i = flatnonzero(xp, ~neg)
-        lo = scatter(lo, idx[neg_i], mid[neg_i])
-        hi = scatter(hi, idx[pos_i], mid[pos_i])
-        idx = idx[flatnonzero(xp, (hi[idx] - lo[idx]) > xtol)]
+        lo[idx[neg]] = mid[neg]
+        hi[idx[~neg]] = mid[~neg]
+        idx = idx[np.flatnonzero((hi[idx] - lo[idx]) > xtol)]
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
         if sweep_counter is not None:
@@ -122,12 +125,11 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
     return 0.5 * (lo + hi)
 
 
-def bisect_illinois(residual, lo, hi, *, xtol: float,
-                    warm_starts: WarmStarts | None = None,
+def bisect_illinois(residual: Residual, lo: np.ndarray, hi: np.ndarray, *,
+                    xtol: float, warm_starts: WarmStarts | None = None,
                     warmup_sweeps: int = 0,
                     max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                    sweep_counter: str | None = None
-                    ) -> BracketResult:
+                    sweep_counter: str | None = None) -> BracketResult:
     """Warm-started bracketing solve: bisection, then Illinois polish.
 
     ``lo`` / ``hi`` are the *full* per-lane bounds; ``warm_starts``
@@ -141,47 +143,44 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     bracket, falling back to the midpoint otherwise, so the bracket
     shrinks every sweep and the result is never worse than bisection.
     """
-    xp = array_namespace(lo, hi)
-    lo_full = as_float_copy(xp, lo)
-    hi_full = as_float_copy(xp, hi)
-    n = _lane_count(lo_full)
+    lo_full = np.array(lo, dtype=float)
+    hi_full = np.array(hi, dtype=float)
+    n = lo_full.shape[0]
     if warm_starts is None:
-        warm = xp.zeros(n, dtype=xp.bool)
-        lo = as_float_copy(xp, lo_full)
-        hi = as_float_copy(xp, hi_full)
+        warm = np.zeros(n, dtype=bool)
+        lo = lo_full.copy()
+        hi = hi_full.copy()
     else:
-        warm = xp.asarray(warm_starts.mask, dtype=xp.bool)
-        lo = xp.where(warm, xp.asarray(warm_starts.lo, dtype=xp.float64),
-                      lo_full)
-        hi = xp.where(warm, xp.asarray(warm_starts.hi, dtype=xp.float64),
-                      hi_full)
-    all_lanes = xp.arange(n)
+        warm = np.asarray(warm_starts.mask, dtype=bool)
+        lo = np.where(warm, np.asarray(warm_starts.lo, dtype=float), lo_full)
+        hi = np.where(warm, np.asarray(warm_starts.hi, dtype=float), hi_full)
+    all_lanes = np.arange(n)
     rl = residual(lo, all_lanes)
     rh = residual(hi, all_lanes)
     # Stale warm brackets (no longer straddling) fall back to the full
     # bounds: one extra gathered residual pass, never a wrong root.
     stale = warm & ~((rl <= 0.0) & (rh >= 0.0))
-    sidx = flatnonzero(xp, stale)
-    if _lane_count(sidx):
-        lo = scatter(lo, sidx, lo_full[sidx])
-        hi = scatter(hi, sidx, hi_full[sidx])
-        rl = scatter(rl, sidx, residual(lo_full[sidx], sidx))
-        rh = scatter(rh, sidx, residual(hi_full[sidx], sidx))
+    sidx = np.flatnonzero(stale)
+    if sidx.shape[0]:
+        lo[sidx] = lo_full[sidx]
+        hi[sidx] = hi_full[sidx]
+        rl[sidx] = residual(lo_full[sidx], sidx)
+        rh[sidx] = residual(hi_full[sidx], sidx)
         warm = warm & ~stale
     # Reported bound residuals: a sign-verified warm bracket proves the
     # full bounds straddle too (the residual is monotone), so warm
     # lanes report sentinels rather than re-evaluating the bounds.
-    ret_r_lo = xp.where(warm, -xp.inf, rl)
-    ret_r_hi = xp.where(warm, xp.inf, rh)
+    ret_r_lo = np.where(warm, -np.inf, rl)
+    ret_r_hi = np.where(warm, np.inf, rh)
 
     feasible = (rl <= 0.0) & (rh >= 0.0)
     # Illinois side memory: +1 / -1 when the last two updates replaced
     # the same bracket end, which triggers the residual-halving trick.
-    side = xp.zeros(n, dtype=xp.int8)
-    idx = flatnonzero(xp, feasible & ((hi - lo) > xtol))
+    side = np.zeros(n, dtype=np.int8)
+    idx = np.flatnonzero(feasible & ((hi - lo) > xtol))
     sweeps = 0
-    while _lane_count(idx) and sweeps < max_sweeps:
-        live = _lane_count(idx)
+    while idx.shape[0] and sweeps < max_sweeps:
+        live = idx.shape[0]
         lo_a, hi_a = lo[idx], hi[idx]
         rl_a, rh_a = rl[idx], rh[idx]
         side_a = side[idx]
@@ -190,28 +189,27 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
         if sweeps >= warmup_sweeps:
             denom = rh_a - rl_a
             falsi = ((lo_a * rh_a - hi_a * rl_a)
-                     / xp.where(denom == 0, 1.0, denom))
-            use = ((denom != 0) & xp.isfinite(falsi)
+                     / np.where(denom == 0, 1.0, denom))
+            use = ((denom != 0) & np.isfinite(falsi)
                    & (falsi > lo_a) & (falsi < hi_a))
-            x = xp.where(use, falsi, mid)
+            x = np.where(use, falsi, mid)
         r = residual(x, idx)
         move_lo = r < 0.0
         move_hi = ~move_lo
         # Illinois: halve the retained end's residual when the same end
         # survives twice in a row, preventing false-position stagnation.
-        rh_a = xp.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
-        rl_a = xp.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
-        side_a = xp.astype(xp.where(move_lo, 1, -1), xp.int8)
-        lo_a = xp.where(move_lo, x, lo_a)
-        rl_a = xp.where(move_lo, r, rl_a)
-        hi_a = xp.where(move_hi, x, hi_a)
-        rh_a = xp.where(move_hi, r, rh_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        rl = scatter(rl, idx, rl_a)
-        rh = scatter(rh, idx, rh_a)
-        side = scatter(side, idx, side_a)
-        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        rh_a = np.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
+        rl_a = np.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
+        lo_a = np.where(move_lo, x, lo_a)
+        rl_a = np.where(move_lo, r, rl_a)
+        hi_a = np.where(move_hi, x, hi_a)
+        rh_a = np.where(move_hi, r, rh_a)
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        rl[idx] = rl_a
+        rh[idx] = rh_a
+        side[idx] = np.where(move_lo, 1, -1)
+        idx = idx[np.flatnonzero((hi_a - lo_a) > xtol)]
         sweeps += 1
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
@@ -222,9 +220,10 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
                          warm_used=warm, sweeps=sweeps)
 
 
-def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
+def newton_safeguarded(residual_jacobian: ResidualJacobian, lo: np.ndarray,
+                       hi: np.ndarray, *, xtol: float,
                        max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                       sweep_counter: str | None = None):
+                       sweep_counter: str | None = None) -> np.ndarray:
     """Bracketed Newton with bisection fallback over a stack of lanes.
 
     ``residual_jacobian(x, idx)`` returns ``(r, dr)`` for the gathered
@@ -240,29 +239,28 @@ def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
     outer loop is the canonical shape); the bisection solvers remain
     the right tool for the derivative-free leakage residuals.
     """
-    xp = array_namespace(lo, hi)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
-    n = _lane_count(lo)
-    idx = flatnonzero(xp, (hi - lo) > xtol)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    n = lo.shape[0]
+    idx = np.flatnonzero((hi - lo) > xtol)
     for _ in range(max_sweeps):
-        live = _lane_count(idx)
+        live = idx.shape[0]
         if not live:
             break
         lo_a, hi_a = lo[idx], hi[idx]
         mid = 0.5 * (lo_a + hi_a)
         r, dr = residual_jacobian(mid, idx)
-        step_ok = xp.isfinite(dr) & (dr != 0)
-        newton = mid - r / xp.where(step_ok, dr, 1.0)
-        use = step_ok & xp.isfinite(newton) & (newton > lo_a) & (newton < hi_a)
-        x = xp.where(use, newton, mid)
+        step_ok = np.isfinite(dr) & (dr != 0)
+        newton = mid - r / np.where(step_ok, dr, 1.0)
+        use = step_ok & np.isfinite(newton) & (newton > lo_a) & (newton < hi_a)
+        x = np.where(use, newton, mid)
         r_x, _ = residual_jacobian(x, idx)
         move_lo = r_x < 0.0
-        lo_a = xp.where(move_lo, x, lo_a)
-        hi_a = xp.where(~move_lo, x, hi_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        lo_a = np.where(move_lo, x, lo_a)
+        hi_a = np.where(move_lo, hi_a, x)
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        idx = idx[np.flatnonzero((hi_a - lo_a) > xtol)]
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
         if sweep_counter is not None:

@@ -17,8 +17,6 @@ Counter names in use
     Total damped-Newton iterations across all solves.
 ``optimizer.brentq_residual_evals``
     Leakage-residual evaluations inside the scaling root-solves.
-``cache.device.hits`` / ``cache.device.misses``
-    In-process device-construction memo.
 ``cache.family.hits`` / ``cache.family.misses``
     On-disk optimised-family cache.
 ``circuit.vtc_batch_solves`` / ``circuit.vtc_batch_points``
@@ -50,10 +48,6 @@ Counter names in use
     Warm-start bracket cache of the batched doping solver.
 ``cache.family.stores``
     Optimised families persisted to the on-disk cache.
-``scaling.bracket_warm_hits`` / ``scaling.bracket_cold_misses``
-    Disk-layer warm starts of the doping solver: lanes whose replayed
-    bracket survived sign verification vs lanes solved cold from the
-    full bounds (bumped only when the on-disk cache is enabled).
 ``numerics.active_lanes`` / ``numerics.total_lanes``
     Lanes the shared root-solve core actually evaluated vs lanes
     carried, summed per sweep; their ratio is the measured active-set
@@ -121,8 +115,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "poisson.batch_solves",
     "poisson.newton_iterations",
     "optimizer.brentq_residual_evals",
-    "cache.device.hits",
-    "cache.device.misses",
     "cache.family.hits",
     "cache.family.misses",
     "cache.family.stores",
@@ -141,8 +133,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "scaling.doping_batch_points",
     "scaling.doping_bisection_sweeps",
     "scaling.device_eval_points",
-    "scaling.bracket_warm_hits",
-    "scaling.bracket_cold_misses",
     "numerics.active_lanes",
     "numerics.total_lanes",
     "service.grid.shards",

@@ -23,15 +23,6 @@ flow invocation — every top-level flow entry calls
 :func:`reset_warm_starts` — so flow results never depend on what ran
 earlier in the process (see that function's docstring).
 
-When the on-disk cache is enabled (:func:`repro.cache.cache_dir`), the
-solver additionally spills each cold-converged final bracket to disk
-under an exact per-candidate key and replays it on the next process's
-cold invocation.  A replayed bracket is already below ``xtol``, so the
-lane retires before its first sweep with exactly the midpoint a cold
-solve would produce — byte-determinism survives the shortcut.  The
-disk layer reports ``scaling.bracket_warm_hits`` /
-``scaling.bracket_cold_misses``.
-
 The residual ``log(I_off(N)/target)`` is monotone *decreasing* in
 ``log10(N)`` (more doping -> higher V_th -> less leakage), which gives
 the feasibility tests: a candidate is solvable iff the residual is
@@ -53,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import perf
-from ..cache import LRUMemo, load_brackets, store_brackets
+from ..cache import LRUMemo
 from ..numerics import WarmStarts, bisect_illinois
 from ..device import geometry as geometry_mod
 from ..device import subthreshold as subthreshold_mod
@@ -155,8 +146,9 @@ def _bracket_key(flow: str, req: DopingSolveRequest,
 
     Lengths are bucketed (:data:`LENGTH_BUCKET_NM`) so nearby lengths —
     the sweep grid vs its refinement grid, Fig. 7/8 curves — share
-    brackets.  The calibration module globals are part of the key for
-    the same reason they are part of the device-construction memo key.
+    brackets.  The calibration module globals are part of the key
+    because :func:`repro.scaling.sensitivity.calibration` overrides
+    them in place.
     """
     return (
         flow, req.node.name, req.node.l_poly_nm, req.node.t_ox_nm,
@@ -166,23 +158,6 @@ def _bracket_key(flow: str, req: DopingSolveRequest,
         geometry_mod.OVERLAP_FRACTION, threshold_mod.LT_CALIBRATION,
         subthreshold_mod.SCE_PREFACTOR_DEFAULT,
     )
-
-
-def _disk_key(flow: str, req: DopingSolveRequest, extra_exact,
-              lo_bound: float, hi_bound: float, xtol: float) -> str:
-    """Exact on-disk bracket key (:func:`repro.cache.store_brackets`).
-
-    The in-process memo key buckets lengths and rounds ratios so nearby
-    candidates can *share* approximate brackets; a disk bracket is
-    replayed verbatim, so its key appends every exact value the
-    residual depends on (``extra_exact`` carries the halo flow's exact
-    N_sub).  ``repr`` of the tuple is deterministic: floats serialise
-    via shortest round-trip repr.
-    """
-    return repr(_bracket_key(flow, req) + (
-        req.l_poly_nm, req.width_um, req.halo_ratio, extra_exact,
-        lo_bound, hi_bound, xtol,
-    ))
 
 
 #: Pure-bisection sweeps before the Illinois polish kicks in.  The
@@ -197,30 +172,22 @@ _MAX_SWEEPS: int = 80
 
 def solve_log_doping(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                      keys: Sequence, lo_bound: float, hi_bound: float,
-                     xtol: float = XTOL_LOG10,
-                     disk_keys: Sequence[str | None] | None = None
-                     ) -> DopingSolveResult:
+                     xtol: float = XTOL_LOG10) -> DopingSolveResult:
     """Gathered bracketing solve for log10-doping roots over a stack.
 
     ``residual(log_n, idx)`` maps gathered log10 dopings (plus their
     lane indices, for slicing per-point parameters) to the log-leakage
     residuals of the live points and must be monotone decreasing per
     point.  ``keys`` (one per point; ``None`` opts out) index the
-    warm-start bracket cache; ``disk_keys`` (exact string keys) opt
-    points into the on-disk bracket spill when the disk cache is
-    enabled.
+    warm-start bracket cache.
 
     The iteration is :func:`repro.numerics.bisect_illinois` on the
     negated (monotone-increasing) residual — IEEE negation is exact, so
     the iterate sequence matches the retired in-module loop bitwise: a
     few pure-bisection sweeps shrink every bracket into the near-linear
     regime, then the safeguarded Illinois polish finishes superlinearly.
-
-    Warm-start priority per point: an in-process memo root (bracketed
-    to ``+/- WARM_MARGIN_LOG10``) wins over a disk-spilled bracket, so
-    results never depend on whether the disk layer is populated — a
-    replayed disk bracket is already below ``xtol`` and retires with
-    exactly the cold solve's midpoint.
+    A point whose key has a cached root starts from the bracket
+    ``root +/- WARM_MARGIN_LOG10`` (clipped to the bounds).
     """
     n = len(keys)
     lo_full = np.full(n, float(lo_bound))
@@ -228,31 +195,18 @@ def solve_log_doping(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     perf.bump("scaling.doping_batch_solves")
     perf.bump("scaling.doping_batch_points", n)
 
-    disk_table = load_brackets() if disk_keys is not None else None
-
     wlo = lo_full.copy()
     whi = hi_full.copy()
     warm = np.zeros(n, dtype=bool)
-    from_disk = np.zeros(n, dtype=bool)
     for i, key in enumerate(keys):
         root = None if key is None else bracket_memo.get(key)
-        if root is not None:
-            wl = max(lo_full[i], root - WARM_MARGIN_LOG10)
-            wh = min(hi_full[i], root + WARM_MARGIN_LOG10)
-            if wl < wh:
-                wlo[i], whi[i] = wl, wh
-                warm[i] = True
+        if root is None:
             continue
-        if disk_table is None or disk_keys[i] is None:
-            continue
-        entry = disk_table.get(disk_keys[i])
-        if entry is None:
-            continue
-        dlo, dhi = entry
-        if lo_bound <= dlo <= dhi <= hi_bound and (dhi - dlo) <= xtol:
-            wlo[i], whi[i] = dlo, dhi
+        wl = max(lo_full[i], root - WARM_MARGIN_LOG10)
+        wh = min(hi_full[i], root + WARM_MARGIN_LOG10)
+        if wl < wh:
+            wlo[i], whi[i] = wl, wh
             warm[i] = True
-            from_disk[i] = True
 
     def increasing(log_n: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return -residual(log_n, idx)
@@ -269,22 +223,6 @@ def solve_log_doping(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for i, key in enumerate(keys):
         if key is not None and feasible[i]:
             bracket_memo.put(key, float(root[i]))
-
-    if disk_table is not None:
-        cold = ~result.warm_used
-        perf.bump("scaling.bracket_warm_hits",
-                  int(np.count_nonzero(from_disk & result.warm_used)))
-        perf.bump("scaling.bracket_cold_misses",
-                  int(np.count_nonzero(cold)))
-        # Spill only fully cold, converged lanes: their final bracket
-        # is below xtol, so replaying it is byte-deterministic.
-        spill = {
-            disk_keys[i]: (float(result.lo[i]), float(result.hi[i]))
-            for i in range(n)
-            if (disk_keys[i] is not None and cold[i] and feasible[i]
-                and (result.hi[i] - result.lo[i]) <= xtol)
-        }
-        store_brackets(spill)
 
     return DopingSolveResult(root_log10=root, feasible=feasible,
                              r_lo=-result.r_lo, r_hi=-result.r_hi)
@@ -315,8 +253,7 @@ def solve_substrate_stack(reqs: Sequence[DopingSolveRequest],
 
     keys = [_bracket_key(flow, r) for r in reqs]
     lo, hi = (math.log10(b) for b in N_SUB_BOUNDS)
-    disk_keys = [_disk_key(flow, r, None, lo, hi, XTOL_LOG10) for r in reqs]
-    return solve_log_doping(residual, keys, lo, hi, disk_keys=disk_keys)
+    return solve_log_doping(residual, keys, lo, hi)
 
 
 def _build_device(req: DopingSolveRequest, n_sub: float,
@@ -455,9 +392,7 @@ def _solve_halo_stack(reqs: Sequence[DopingSolveRequest],
                          extra=round(math.log10(ns), 6))
             for r, ns in zip(reqs, n_sub)]
     lo, hi = (math.log10(b) for b in N_HALO_BOUNDS)
-    disk_keys = [_disk_key("supervth_halo", r, float(ns), lo, hi, XTOL_LOG10)
-                 for r, ns in zip(reqs, n_sub)]
-    return solve_log_doping(residual, keys, lo, hi, disk_keys=disk_keys)
+    return solve_log_doping(residual, keys, lo, hi)
 
 
 def super_vth_halo(node: NodeSpec, polarity: Polarity, width_um: float,

@@ -19,7 +19,7 @@ from ..circuit.energy import chain_energy_per_cycle, find_vmin
 from ..circuit.snm import noise_margins
 from ..device.corners import Corner, at_corner
 from ..device.mosfet import Polarity
-from ..errors import LostRegenerationError, ParameterError
+from ..errors import LostRegenerationError, VminBoundaryError
 from ..scaling.batch import optimize_doping_groups, reset_warm_starts
 from ..scaling.roadmap import NodeSpec
 from ..scaling.strategy import DeviceDesign
@@ -104,10 +104,8 @@ def _vmin_v(design: DeviceDesign) -> float:
     minimum sits on the sweep boundary (no interior V_min)."""
     try:
         return find_vmin(design.inverter(design.vdd)).vmin
-    except ParameterError as err:
-        if str(err).startswith("energy minimum at sweep boundary"):
-            return math.nan
-        raise
+    except VminBoundaryError:
+        return math.nan
 
 
 def design_metrics(design: DeviceDesign, vdd_v: float) -> dict[str, float]:

@@ -86,13 +86,13 @@ class TestCapture:
         assert len(manifest) == 1
 
     def test_perf_counters_attributed(self):
-        # eq3 sweeps a VTC -> device cache traffic must be attributed
+        # eq3 sweeps a VTC -> its batched VTC solves must be attributed
         # to this run, not inherited from earlier ones.
         perf.bump("synthetic.preexisting", 5)
         manifest = RunManifest(git_sha="testsha")
         _result, record = manifest.record("eq3")
         assert "synthetic.preexisting" not in record.perf_counters
-        assert any(name.startswith("cache.device.")
+        assert any(name.startswith("circuit.vtc_batch_")
                    for name in record.perf_counters)
         assert all(isinstance(v, int) and v > 0
                    for v in record.perf_counters.values())

@@ -1,19 +1,12 @@
 """Tests for the caching layers (in-process memo + on-disk family cache)."""
 
-import numpy as np
-import pytest
-
 from repro import perf
 from repro.cache import (
     LRUMemo,
     cache_dir,
     clear_disk_cache,
-    device_cache_enabled,
-    device_memo,
-    load_brackets,
     load_family,
     model_schema_hash,
-    store_brackets,
     store_family,
 )
 from repro.device import nfet
@@ -47,27 +40,20 @@ class TestLRUMemo:
 
 
 class TestDeviceMemo:
+    """Every build is a fresh device that reads the calibration globals."""
+
     PARAMS = dict(l_poly_nm=63, t_ox_nm=2.1, n_sub_cm3=1.31e18,
                   n_p_halo_cm3=1.7e18)
-
-    def test_identical_builds_share_one_object(self):
-        assert nfet(**self.PARAMS) is nfet(**self.PARAMS)
 
     def test_different_parameters_differ(self):
         other = dict(self.PARAMS, n_sub_cm3=1.32e18)
         assert nfet(**self.PARAMS) is not nfet(**other)
-
-    def test_opt_out_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICE_CACHE", "0")
-        assert not device_cache_enabled()
-        assert nfet(**self.PARAMS) is not nfet(**self.PARAMS)
 
     def test_calibration_override_bypasses_stale_entries(self):
         from repro.scaling.sensitivity import calibration
         base = nfet(**self.PARAMS)
         with calibration(sce_prefactor=11.0):
             harsher = nfet(**self.PARAMS)
-        assert harsher is not base
         assert harsher.ss_v_per_dec > base.ss_v_per_dec
 
 
@@ -110,86 +96,3 @@ class TestDiskCache:
     def test_schema_hash_is_stable(self):
         assert model_schema_hash() == model_schema_hash()
         assert len(model_schema_hash()) == 16
-
-
-class TestBracketSpill:
-    """On-disk warm-start brackets of the batched doping solver."""
-
-    @staticmethod
-    def _reqs():
-        from repro.device.mosfet import Polarity
-        from repro.scaling.batch import DopingSolveRequest
-        from repro.scaling.roadmap import node_by_name
-        node = node_by_name("90nm")
-        return [
-            DopingSolveRequest(node=node, l_poly_nm=l, halo_ratio=1.2,
-                               polarity=Polarity.NFET, width_um=1.0,
-                               ioff_target=100e-12, vdd_leak=0.25)
-            for l in (65.0, 58.0)
-        ]
-
-    def test_replay_is_byte_deterministic(self, monkeypatch, tmp_path):
-        import repro.cache as cache_mod
-        from repro.scaling.batch import (
-            reset_warm_starts,
-            solve_substrate_stack,
-        )
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reqs = self._reqs()
-
-        reset_warm_starts()
-        perf.reset()
-        cold = solve_substrate_stack(reqs)
-        assert np.all(cold.feasible)
-        assert perf.get("scaling.bracket_cold_misses") == len(reqs)
-        assert perf.get("scaling.bracket_warm_hits") == 0
-        table = load_brackets()
-        assert table is not None and len(table) == len(reqs)
-
-        # Simulate a fresh process: drop the in-process memo *and* the
-        # cached table so the brackets really come back off disk.
-        reset_warm_starts()
-        with cache_mod._BRACKET_LOCK:
-            cache_mod._BRACKET_TABLES.clear()
-        perf.reset()
-        replay = solve_substrate_stack(reqs)
-        assert np.array_equal(replay.root_log10, cold.root_log10)
-        assert np.array_equal(replay.feasible, cold.feasible)
-        assert perf.get("scaling.bracket_warm_hits") == len(reqs)
-        assert perf.get("scaling.bracket_cold_misses") == 0
-        # Replayed brackets are below xtol: no bisection sweeps run.
-        assert perf.get("scaling.doping_bisection_sweeps") == 0
-        reset_warm_starts()
-
-    def test_disk_layer_silent_when_disabled(self, monkeypatch):
-        from repro.scaling.batch import (
-            reset_warm_starts,
-            solve_substrate_stack,
-        )
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert load_brackets() is None
-        store_brackets({"ignored": (1.0, 2.0)})
-        reset_warm_starts()
-        perf.reset()
-        result = solve_substrate_stack(self._reqs())
-        assert np.all(result.feasible)
-        assert perf.get("scaling.bracket_warm_hits") == 0
-        assert perf.get("scaling.bracket_cold_misses") == 0
-        reset_warm_starts()
-
-    def test_clear_disk_cache_drops_brackets(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store_brackets({"key": (1.25, 1.25)})
-        assert load_brackets() == {"key": [1.25, 1.25]}
-        assert clear_disk_cache() == 1
-        assert load_brackets() == {}
-
-
-class TestMemoDefaultOn:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEVICE_CACHE", raising=False)
-        assert device_cache_enabled()
-
-    def test_memo_is_bounded(self):
-        assert device_memo.maxsize >= 1024

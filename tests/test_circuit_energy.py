@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.energy import chain_energy_per_cycle, find_vmin
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VminBoundaryError
 
 
 class TestChainEnergy:
@@ -92,3 +92,12 @@ class TestVmin:
     def test_boundary_minimum_rejected(self, inverter_sub):
         with pytest.raises(ParameterError):
             find_vmin(inverter_sub, vdd_lo=0.4, vdd_hi=0.7)
+
+    def test_boundary_minimum_has_its_own_type(self, inverter_sub):
+        # Callers that serve "no interior V_min" as a null value catch
+        # this type; a bad range stays a plain ParameterError.
+        with pytest.raises(VminBoundaryError):
+            find_vmin(inverter_sub, vdd_lo=0.4, vdd_hi=0.7)
+        with pytest.raises(ParameterError) as bad_range:
+            find_vmin(inverter_sub, vdd_lo=0.5, vdd_hi=0.2)
+        assert not isinstance(bad_range.value, VminBoundaryError)

@@ -52,7 +52,7 @@ class TestCli:
         assert main(["run", "fig2", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "perf counters:" in out
-        assert "cache.device" in out
+        assert "cache.bracket" in out
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

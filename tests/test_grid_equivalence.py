@@ -10,6 +10,8 @@ as a twin in :mod:`repro.reference`; this suite pins the agreement
 exercised here or in a sibling ``test_*equivalence*`` suite).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,11 @@ from repro.device.corners import (
     corner_grid,
     ff_ss_delay_spread,
 )
+from repro.constants import nm_to_cm
+from repro.device.batch import ParameterStack
 from repro.device.mosfet import nfet, pfet
 from repro.errors import ParameterError
+from repro.materials.oxide import hfo2
 from repro.scaling.roadmap import node_by_name
 from repro.scaling.strategy import DeviceDesign, DeviceFamily
 
@@ -89,6 +94,37 @@ class TestTableRowsParity:
             _toy_family().table_rows(solver="sequential")
 
 
+def _wide_halo(device):
+    """``device`` with its halo's lateral straggle widened 1.5x."""
+    halo = device.profile.halo
+    return replace(device, profile=replace(
+        device.profile, halo=replace(halo, sigma_x_cm=1.5 * halo.sigma_x_cm)))
+
+
+class TestFromDevices:
+    def test_lanes_replicate_scalar_devices(self, nfet90):
+        other = pfet(32, 1.53, 3.0e18, 1.8e18)
+        devices = (nfet90, other)
+        metrics = ParameterStack.from_devices(devices).metrics(
+            np.array([d.profile.n_sub_cm3 for d in devices]),
+            np.array([d.profile.n_p_halo_cm3 for d in devices]))
+        ioff = metrics.i_off_per_um(1.0)
+        for lane, dev in enumerate(devices):
+            assert ioff[lane] == pytest.approx(dev.i_off_per_um(1.0),
+                                               rel=RTOL)
+
+    def test_high_k_stack_rejected(self, nfet90):
+        # Rebuilt as SiO2 at the HfO2 physical thickness, this device's
+        # I_off would read ~1e7x low and its V_th ~1 V high.
+        high_k = replace(nfet90, stack=hfo2(nm_to_cm(1.2)))
+        with pytest.raises(ParameterError, match="SiO2"):
+            ParameterStack.from_devices([high_k])
+
+    def test_non_proportional_halo_rejected(self, nfet90):
+        with pytest.raises(ParameterError, match="halo"):
+            ParameterStack.from_devices([nfet90, _wide_halo(nfet90)])
+
+
 class TestCornerGridParity:
     def test_grid_matches_scalar_corners(self, nfet90):
         other = nfet(32, 1.53, 3.0e18, 1.8e18)
@@ -126,6 +162,17 @@ class TestCornerGridParity:
         shifted = replace(nfet90, vth_offset_v=0.05)
         with pytest.raises(ParameterError):
             corner_grid((shifted,), CORNERS)
+
+    def test_high_k_stack_rejected(self, nfet90):
+        # A stack lane assumes SiO2: an HfO2 device's FF corner would
+        # come back with ~1000x too little drive.
+        high_k = replace(nfet90, stack=hfo2(nm_to_cm(1.2)))
+        with pytest.raises(ParameterError, match="SiO2"):
+            corner_grid((high_k,), CORNERS)
+
+    def test_non_proportional_halo_rejected(self, nfet90):
+        with pytest.raises(ParameterError, match="halo"):
+            corner_grid((_wide_halo(nfet90),), CORNERS)
 
     def test_empty_grid_rejected(self, nfet90):
         with pytest.raises(ParameterError):

@@ -3,7 +3,7 @@
 The invariants the three batched engines rely on (see
 ``src/repro/numerics/rootsolve.py``):
 
-* gather/scatter preserves lane order — every residual call sees a
+* the gathered updates preserve lane order — every residual call sees a
   sorted subset of the original lane indices, and results land back in
   their own lanes regardless of which lanes retire first;
 * NaN and infeasible lanes terminate without poisoning their
@@ -20,12 +20,9 @@ import pytest
 from repro import perf
 from repro.numerics import (
     WarmStarts,
-    array_namespace,
     bisect_illinois,
     bisect_masked,
-    gather,
     newton_safeguarded,
-    scatter,
 )
 
 XTOL = 1e-10
@@ -34,25 +31,6 @@ XTOL = 1e-10
 def _roots(n, lo=-0.9, hi=0.9, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=n)
-
-
-class TestBackend:
-    def test_array_namespace_defaults_to_numpy(self):
-        xp = array_namespace(np.arange(3.0))
-        assert xp.asarray is np.asarray or xp is np
-
-    def test_explicit_namespace_wins(self):
-        assert array_namespace(np.arange(3.0), xp=np) is np
-
-    def test_gather_scatter_roundtrip_preserves_order(self):
-        arr = np.arange(10.0)
-        idx = np.array([7, 2, 5])
-        taken = gather(arr, idx)
-        assert np.array_equal(taken, [7.0, 2.0, 5.0])
-        out = scatter(arr.copy(), idx, -taken)
-        assert np.array_equal(out[idx], [-7.0, -2.0, -5.0])
-        untouched = np.setdiff1d(np.arange(10), idx)
-        assert np.array_equal(out[untouched], arr[untouched])
 
 
 class TestBisectMasked:

@@ -103,7 +103,6 @@ class TestRootDeviceReuse:
         return built
 
     def test_subvth_substrate_solve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICE_CACHE", "0")
         built = self._count_builds(subvth_mod, monkeypatch)
         node = roadmap_nodes()[1]
         perf.reset()
@@ -118,7 +117,6 @@ class TestRootDeviceReuse:
         assert any(dev is b for b in built)
 
     def test_supervth_optimize(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICE_CACHE", "0")
         built = self._count_builds(supervth_mod, monkeypatch)
         node = roadmap_nodes()[0]
         perf.reset()

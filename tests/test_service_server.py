@@ -22,6 +22,8 @@ from repro.scaling.roadmap import node_by_name
 from repro.scaling.subvth import optimize_doping_for_length
 from repro.service import DesignSpaceService, serve_stdio
 from repro.service.contract import ALL_METRICS, PROTOCOL_VERSION
+from repro.errors import ParameterError, VminBoundaryError
+from repro.service import exact as exact_mod
 from repro.service.exact import corner_snm_vmin, exact_design, exact_point
 from repro.service.server import _handle_http_client
 from repro.service.surrogate import SURROGATE_TOL_REL
@@ -147,6 +149,29 @@ class TestExactTierParity:
         assert design.pfet.profile.n_sub_cm3 == p_oracle.profile.n_sub_cm3
         assert (design.pfet.profile.n_p_halo_cm3
                 == p_oracle.profile.n_p_halo_cm3)
+
+
+class TestVminBoundary:
+    """The exact tier serves a boundary V_min as null, matched by type."""
+
+    def test_boundary_minimum_served_as_nan(self, monkeypatch, sub_family):
+        def boundary(_inverter):
+            raise VminBoundaryError("no interior minimum in range")
+
+        monkeypatch.setattr(exact_mod, "find_vmin", boundary)
+        metrics = exact_mod.design_metrics(sub_family.design("65nm"), 0.3)
+        assert math.isnan(metrics["vmin_v"])
+        assert math.isfinite(metrics["energy_fj_per_op"])
+
+    def test_other_parameter_errors_propagate(self, monkeypatch,
+                                              sub_family):
+        def bad_range(_inverter):
+            raise ParameterError("energy minimum at sweep boundary, but "
+                                 "raised as a plain ParameterError")
+
+        monkeypatch.setattr(exact_mod, "find_vmin", bad_range)
+        with pytest.raises(ParameterError, match="plain ParameterError"):
+            exact_mod.design_metrics(sub_family.design("65nm"), 0.3)
 
 
 class TestErrorTaxonomy:

@@ -65,10 +65,6 @@ The numerical hot paths are batched and cached at three layers:
   `tests/test_*equivalence*.py` suites compare `reference.f` against
   `f`, and lint rule RPR004 enforces the pairing.  No production
   module imports `repro.reference`.
-- **Device construction memo.** `repro.device.nfet` / `pfet` memoise
-  construction on the full parameter tuple (including the calibration
-  constants, so `repro.scaling.sensitivity.calibration` overrides
-  never see stale devices).  Disable with ``REPRO_DEVICE_CACHE=0``.
 - **On-disk family cache.** Optimised `DeviceFamily` results are
   persisted as JSON when ``REPRO_CACHE_DIR`` is set (or
   ``REPRO_CACHE=1`` for the default ``~/.cache/repro``).  Entries are
