@@ -29,3 +29,17 @@ def run_once(benchmark, func, *args, **kwargs):
     """
     return benchmark.pedantic(func, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+#: Rounds of :func:`run_rounds`: enough for a median and an IQR.
+ROUNDS = 5
+
+
+def run_rounds(benchmark, func, *args, **kwargs):
+    """Run ``func`` under pytest-benchmark for :data:`ROUNDS` rounds.
+
+    For benches whose before/after comparison matters: one round
+    cannot tell a change from noise, five give a median and an IQR.
+    """
+    return benchmark.pedantic(func, args=args, kwargs=kwargs,
+                              rounds=ROUNDS, iterations=1, warmup_rounds=1)

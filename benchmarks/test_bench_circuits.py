@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import run_once
+from conftest import run_once, run_rounds
 
 from repro import perf, reference
 from repro.circuit import Inverter, butterfly_snm, find_vmin, noise_margins
@@ -20,6 +20,8 @@ from repro.circuit.dvs import (chain_rate_hz, vdd_for_throughput,
                                vdd_for_throughput_batch)
 from repro.device import nfet, pfet
 from repro.device.corners import Corner, at_corner, corner_grid
+from repro.scaling.roadmap import node_by_name
+from repro.service.exact import exact_design, snm_mv_lanes
 from repro.variability import delay_distribution, snm_distribution
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -39,32 +41,32 @@ def _build_inverter(vdd=0.25):
 
 def test_bench_vtc_batch(benchmark):
     inv = _build_inverter()
-    vins, vouts = run_once(benchmark, inv.vtc, 121)
+    vins, vouts = run_rounds(benchmark, inv.vtc, 121)
     assert vouts[0] > vouts[-1]
 
 
 def test_bench_vtc_sequential(benchmark):
     inv = _build_inverter()
     ref = reference.Inverter(inv.nfet, inv.pfet, inv.vdd)
-    vins, vouts = run_once(benchmark, ref.vtc, 121)
+    vins, vouts = run_rounds(benchmark, ref.vtc, 121)
     assert vouts[0] > vouts[-1]
 
 
 def test_bench_snm_batch(benchmark):
     inv = _build_inverter()
-    nm = run_once(benchmark, noise_margins, inv)
+    nm = run_rounds(benchmark, noise_margins, inv)
     assert nm.snm > 0.0
 
 
 def test_bench_snm_sequential(benchmark):
     inv = _build_inverter()
-    nm = run_once(benchmark, reference.noise_margins, inv)
+    nm = run_rounds(benchmark, reference.noise_margins, inv)
     assert nm.snm > 0.0
 
 
 def test_bench_snm_mc100_batch(benchmark):
     inv = _build_inverter()
-    mc = run_once(benchmark, snm_distribution, inv, 100)
+    mc = run_rounds(benchmark, snm_distribution, inv, 100)
     assert mc.mean > 0.0
 
 
@@ -86,6 +88,44 @@ def test_bench_delay_mc200_sequential(benchmark):
     inv = _build_inverter()
     mc = run_once(benchmark, reference.delay_distribution, inv, 200)
     assert mc.mean > 0.0
+
+
+# -- one design-grid shard of SNMs ------------------------------------------
+#
+# What ``fill_shard`` extracts for one (node, L_poly) shard: the SNM of
+# 4 leakage targets x 5 supplies = 20 distinct inverters (the 32nm node
+# at 1.1x its etched length).  The batch stacks all 20 designs into one
+# noise-margin extraction; the sequential twin makes one call per
+# design, as the grid did before designs could share a batch.  Both
+# give the same bits.
+
+SHARD_LOG10_IOFF = (-9.576923, -9.384615, -9.192308, -9.0)
+SHARD_VDD_V = (0.34, 0.36, 0.38, 0.40, 0.42)
+
+
+@pytest.fixture(scope="module")
+def shard_inverters():
+    node = node_by_name("32nm")
+    designs = [exact_design(node, 1.1 * node.l_poly_nm, 10.0 ** t)
+               for t in SHARD_LOG10_IOFF]
+    return [d.inverter(v) for d in designs for v in SHARD_VDD_V]
+
+
+def _snm_one_by_one(inverters):
+    return np.array([snm_mv_lanes([inv])[0] for inv in inverters])
+
+
+def test_bench_snm_shard_batch(benchmark, shard_inverters):
+    snm = run_rounds(benchmark, snm_mv_lanes, shard_inverters)
+    assert np.array_equal(snm, _snm_one_by_one(shard_inverters),
+                          equal_nan=True)
+
+
+def test_bench_snm_shard_sequential(benchmark, shard_inverters):
+    snm = run_rounds(benchmark, _snm_one_by_one, shard_inverters)
+    assert np.array_equal(snm, snm_mv_lanes(shard_inverters),
+                          equal_nan=True)
+    assert np.all(snm > 0.0)
 
 
 # -- tail-heavy DVS supply solve --------------------------------------------

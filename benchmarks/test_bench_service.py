@@ -8,7 +8,7 @@ and exact fallback are recorded for regression tracking.  Runs under
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_once, run_rounds
 
 from repro.service import (DesignSpaceService, GridSpec, build_grid,
                            fit_surrogate)
@@ -45,7 +45,7 @@ def service(grid):
 
 
 def test_bench_grid_fill(benchmark):
-    filled = run_once(benchmark, build_grid, MICRO)
+    filled = run_rounds(benchmark, build_grid, MICRO)
     assert filled.spec.shape == (1, 2, 2, 2)
 
 
@@ -67,6 +67,6 @@ def test_bench_exact_fallback(benchmark, service):
     """The cache-miss path: a full doping root-solve plus every metric
     (SNM curves, the V_min sweep) — what a cold point costs."""
     request = dict(WARM_QUERY, vdd_v=0.45)
-    response = run_once(benchmark, service.handle, request)
+    response = run_rounds(benchmark, service.handle, request)
     assert response["ok"] is True
     assert response["provenance"]["source"] == "exact"

@@ -18,7 +18,7 @@ from .batch import (
     solve_vtc_batch,
 )
 from .inverter import Inverter
-from .snm import NoiseMargins, noise_margins, butterfly_snm
+from .snm import NoiseMargins, noise_margins, noise_margins_stack, butterfly_snm
 from .delay import DelayResult, fo1_delay, analytic_delay, analytic_delay_batch
 from .energy import (
     EnergyBreakdown,
@@ -51,6 +51,7 @@ __all__ = [
     "Inverter",
     "NoiseMargins",
     "noise_margins",
+    "noise_margins_stack",
     "butterfly_snm",
     "DelayResult",
     "fo1_delay",

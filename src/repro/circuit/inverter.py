@@ -102,7 +102,7 @@ class Inverter:
     def gain(self, vin: float, h_v: float | None = None,
              xtol: float = 1e-9) -> float:
         """Small-signal voltage gain dV_out/dV_in at ``vin``
-        (negative); ``h_v`` [v] overrides the stencil half-step."""
+        (negative); ``h_v`` [V] overrides the stencil half-step."""
         step = (self.vdd * 1e-4) if h_v is None else h_v
         lo = max(vin - step, 0.0)
         hi = min(vin + step, self.vdd)

@@ -15,6 +15,7 @@ the original scalar implementations live in :mod:`repro.reference`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,20 @@ class NoiseMargins:
         return min(self.nm_low, self.nm_high)
 
 
+def _lane_margins(batch, lane: int) -> NoiseMargins:
+    """Lane ``lane`` of a batched extraction as :class:`NoiseMargins`,
+    raising the structured lost-regeneration error for a lost lane."""
+    code = int(batch.lost_code[lane])
+    if code:
+        raise lost_regeneration_error(code)
+    return NoiseMargins(
+        v_il=float(batch.v_il[lane]), v_ih=float(batch.v_ih[lane]),
+        v_ol=float(batch.v_ol[lane]), v_oh=float(batch.v_oh[lane]),
+        nm_low=float(batch.nm_low[lane]),
+        nm_high=float(batch.nm_high[lane]),
+    )
+
+
 def noise_margins(inverter: Inverter, n_scan: int = 101,
                   xtol: float = XTOL_DEFAULT) -> NoiseMargins:
     """Gain = -1 noise margins of a CMOS inverter (paper Fig. 4/10).
@@ -68,16 +83,24 @@ def noise_margins(inverter: Inverter, n_scan: int = 101,
     (aligned with the batch kernel's ``lost_code``).  The margins come
     from the vectorised VTC kernel (:func:`noise_margins_batch`).
     """
-    batch = noise_margins_batch(inverter, 0.0, 0.0, n_scan=n_scan,
-                                xtol=xtol)
-    code = int(batch.lost_code[0])
-    if code:
-        raise lost_regeneration_error(code)
-    return NoiseMargins(
-        v_il=float(batch.v_il[0]), v_ih=float(batch.v_ih[0]),
-        v_ol=float(batch.v_ol[0]), v_oh=float(batch.v_oh[0]),
-        nm_low=float(batch.nm_low[0]), nm_high=float(batch.nm_high[0]),
-    )
+    return _lane_margins(noise_margins_batch(inverter, 0.0, 0.0,
+                                             n_scan=n_scan, xtol=xtol), 0)
+
+
+def noise_margins_stack(inverters: Sequence[Inverter]
+                        ) -> list[NoiseMargins]:
+    """:func:`noise_margins` of every inverter, from one extraction.
+
+    All inverters ride as lanes of a single
+    :func:`noise_margins_batch` call, and each result is bitwise the
+    one :func:`noise_margins` returns for that inverter alone.  The
+    first inverter that lost regeneration raises its
+    :class:`repro.errors.LostRegenerationError`, as
+    :func:`noise_margins` would.
+    """
+    batch = noise_margins_batch(list(inverters))
+    return [_lane_margins(batch, lane)
+            for lane in range(batch.lost_code.size)]
 
 
 def _decreasing_interpolator(x: np.ndarray, y: np.ndarray, side: str):

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
-from ..circuit.snm import noise_margins
+from ..circuit.snm import noise_margins_stack
 from .families import SUB_VTH_SUPPLY, super_vth_family
 from .registry import experiment
 
@@ -24,14 +24,11 @@ def run() -> ExperimentResult:
     """Reproduce Fig. 4 under the super-V_th strategy."""
     family = super_vth_family()
     nodes = np.array([d.node.node_nm for d in family.designs])
-    snm_nominal = np.array([
-        noise_margins(d.inverter(d.node.vdd_nominal)).snm
-        for d in family.designs
-    ])
-    snm_sub = np.array([
-        noise_margins(d.inverter(SUB_VTH_SUPPLY)).snm
-        for d in family.designs
-    ])
+    n_designs = len(family.designs)
+    snm = np.array([margins.snm for margins in noise_margins_stack(
+        [d.inverter(d.node.vdd_nominal) for d in family.designs]
+        + [d.inverter(SUB_VTH_SUPPLY) for d in family.designs])])
+    snm_nominal, snm_sub = snm[:n_designs], snm[n_designs:]
 
     nominal_series = Series(label="SNM @nominal Vdd", x=nodes,
                             y=1000.0 * snm_nominal, x_label="node [nm]",

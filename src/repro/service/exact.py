@@ -5,7 +5,7 @@ corners — and the oracle the surrogate's recorded error bounds are
 measured against.  Every function here composes the same public flow
 APIs the experiments use (``optimize_doping_groups`` for the doping,
 the scalar :class:`~repro.device.mosfet.MOSFET` metrics,
-``noise_margins`` / ``find_vmin`` for the circuit figures), with
+``noise_margins_batch`` / ``find_vmin`` for the circuit figures), with
 :func:`repro.scaling.batch.reset_warm_starts` called on entry, so an
 exact service answer is *bitwise* the answer a direct library call
 produces — a property the service tests assert.
@@ -14,12 +14,16 @@ produces — a property the service tests assert.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
+import numpy as np
+
+from ..circuit.batch import noise_margins_batch
 from ..circuit.energy import chain_energy_per_cycle, find_vmin
-from ..circuit.snm import noise_margins
+from ..circuit.inverter import Inverter
 from ..device.corners import Corner, at_corner
 from ..device.mosfet import Polarity
-from ..errors import LostRegenerationError, VminBoundaryError
+from ..errors import VminBoundaryError
 from ..scaling.batch import optimize_doping_groups, reset_warm_starts
 from ..scaling.roadmap import NodeSpec
 from ..scaling.strategy import DeviceDesign
@@ -33,6 +37,8 @@ __all__ = [
     "exact_design",
     "design_metrics",
     "exact_point",
+    "exact_points",
+    "snm_mv_lanes",
     "corner_design",
     "corner_snm_vmin",
     "in_domain",
@@ -89,14 +95,23 @@ def exact_design(node: NodeSpec, l_poly_nm: float,
                         strategy="service", vdd=node.vdd_nominal)
 
 
+def snm_mv_lanes(inverters: Sequence[Inverter]) -> np.ndarray:
+    """Inverter SNM ``min(NM_L, NM_H)`` [mV] of every inverter.
+
+    One stacked :func:`~repro.circuit.batch.noise_margins_batch`
+    extraction over the whole sequence (each lane bitwise its
+    one-inverter answer); NaN once regeneration is lost (served as a
+    null value, not an error).
+    """
+    margins = noise_margins_batch(list(inverters))
+    return np.where(margins.lost, np.nan,
+                    1000.0 * np.minimum(margins.nm_low, margins.nm_high))
+
+
 def _snm_mv(design: DeviceDesign, vdd_v: float) -> float:
-    """Inverter SNM ``min(NM_L, NM_H)`` [mV]; NaN once regeneration
-    is lost (served as a null value, not an error)."""
-    try:
-        margins = noise_margins(design.inverter(vdd_v))
-    except LostRegenerationError:
-        return math.nan
-    return 1000.0 * min(margins.nm_low, margins.nm_high)
+    """SNM [mV] of one design's inverter at ``vdd_v`` [V]
+    (:func:`snm_mv_lanes` on a single lane)."""
+    return float(snm_mv_lanes([design.inverter(vdd_v)])[0])
 
 
 def _vmin_v(design: DeviceDesign) -> float:
@@ -108,6 +123,23 @@ def _vmin_v(design: DeviceDesign) -> float:
         return math.nan
 
 
+def _metrics(design: DeviceDesign, vdd_v: float,
+             snm_mv: float) -> dict[str, float]:
+    """Every served metric at ``vdd_v`` [V], the SNM [mV] given."""
+    nfet = design.nfet
+    energy_j = chain_energy_per_cycle(design.inverter(vdd_v)).total_j
+    return {
+        "ioff_a_per_um": nfet.i_off_per_um(vdd_v),
+        "ion_a_per_um": nfet.i_on_per_um(vdd_v),
+        "vth_v": nfet.vth(vdd_v),
+        "snm_mv": snm_mv,
+        "delay_ps": 1e12 * nfet.intrinsic_delay(vdd_v),
+        "energy_fj_per_op": 1e15 * energy_j,
+        "ss_mv_per_dec": nfet.ss_mv_per_dec,
+        "vmin_v": _vmin_v(design),
+    }
+
+
 def design_metrics(design: DeviceDesign, vdd_v: float) -> dict[str, float]:
     """Every served metric of a design, evaluated at ``vdd_v`` [V].
 
@@ -117,18 +149,29 @@ def design_metrics(design: DeviceDesign, vdd_v: float) -> dict[str, float]:
     :data:`repro.service.contract.METRIC_DOC`; ``snm_mv`` / ``vmin_v``
     are NaN where the model reports no answer.
     """
-    nfet = design.nfet
-    energy_j = chain_energy_per_cycle(design.inverter(vdd_v)).total_j
-    return {
-        "ioff_a_per_um": nfet.i_off_per_um(vdd_v),
-        "ion_a_per_um": nfet.i_on_per_um(vdd_v),
-        "vth_v": nfet.vth(vdd_v),
-        "snm_mv": _snm_mv(design, vdd_v),
-        "delay_ps": 1e12 * nfet.intrinsic_delay(vdd_v),
-        "energy_fj_per_op": 1e15 * energy_j,
-        "ss_mv_per_dec": nfet.ss_mv_per_dec,
-        "vmin_v": _vmin_v(design),
-    }
+    return _metrics(design, vdd_v, _snm_mv(design, vdd_v))
+
+
+def exact_points(node: NodeSpec,
+                 points: Sequence[tuple[float, float, float]]
+                 ) -> list[dict[str, float]]:
+    """Solve many design-space points exactly and evaluate all metrics.
+
+    Each point is (``l_poly_nm`` [nm], ``ioff_target_a_per_um``
+    [A/um], ``vdd_v`` [V]): one cold doping solve per point
+    (:func:`exact_design`), then every point's SNM in one stacked
+    extraction (:func:`snm_mv_lanes`) and the other metrics per
+    point.  Each answer is bitwise the one the point gets alone.
+    Raises :class:`~repro.errors.OptimizationError` when no doping
+    meets a point's target.
+    """
+    designs = [exact_design(node, l_poly_nm, ioff_target_a_per_um)
+               for l_poly_nm, ioff_target_a_per_um, _vdd_v in points]
+    vdds = [vdd_v for _l, _i, vdd_v in points]
+    snm = snm_mv_lanes([design.inverter(vdd_v)
+                        for design, vdd_v in zip(designs, vdds)])
+    return [_metrics(design, vdd_v, float(snm_mv))
+            for design, vdd_v, snm_mv in zip(designs, vdds, snm)]
 
 
 def exact_point(node: NodeSpec, l_poly_nm: float,
@@ -138,12 +181,13 @@ def exact_point(node: NodeSpec, l_poly_nm: float,
 
     The full fallback path: doping solve at (``l_poly_nm`` [nm],
     ``ioff_target_a_per_um`` [A/um]) then metric evaluation at
-    ``vdd_v`` [V].  Raises
-    :class:`~repro.errors.OptimizationError` when no doping meets the
-    target (the server maps it to the ``solver_failure`` code).
+    ``vdd_v`` [V] — the one-point case of :func:`exact_points`.
+    Raises :class:`~repro.errors.OptimizationError` when no doping
+    meets the target (the server maps it to the ``solver_failure``
+    code).
     """
-    design = exact_design(node, l_poly_nm, ioff_target_a_per_um)
-    return design_metrics(design, vdd_v)
+    return exact_points(node, [(l_poly_nm, ioff_target_a_per_um,
+                                vdd_v)])[0]
 
 
 def corner_design(design: DeviceDesign, corner: Corner) -> DeviceDesign:

@@ -8,8 +8,9 @@ pair: a shard resets the solver warm starts, runs one batched doping
 root-solve over every leakage target and both polarities
 (:func:`repro.scaling.batch.optimize_doping_groups`), then evaluates
 all served metrics over the V_dd axis — the NFET curves through one
-:meth:`repro.device.batch.ParameterStack.from_devices` stack, the
-circuit figures through the same scalar helpers the exact tier uses.
+:meth:`repro.device.batch.ParameterStack.from_devices` stack, the SNM
+of every (design, V_dd) inverter through one stacked extraction, the
+other circuit figures through the same helpers the exact tier uses.
 
 Because every shard starts from :func:`reset_warm_starts` and shards
 are assembled in spec order, the tensors are byte-identical however
@@ -44,7 +45,7 @@ from ..scaling.subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
 from ..scaling.supervth import PFET_WIDTH_RATIO
 from ..circuit.energy import chain_energy_sweep
 from .contract import ALL_METRICS, DESIGN_METRICS, VDD_METRICS
-from .exact import _snm_mv, _vmin_v
+from .exact import _vmin_v, snm_mv_lanes
 
 __all__ = ["GridSpec", "Grid", "build_grid", "fill_shard",
            "store_grid", "load_grid"]
@@ -218,8 +219,11 @@ def fill_shard(spec: GridSpec, node_name: str,
     Solves the doping for every leakage target [A/um] at drawn length
     ``l_ratio * node.l_poly_nm`` [nm], then evaluates every served
     metric over the V_dd axis [V]: leakage/drive/threshold through one
-    parameter-axis device stack, energy through the vectorised Eq. 7
-    sweep, SNM/delay/V_min through the exact tier's scalar helpers.
+    parameter-axis device stack, SNM through one stacked extraction
+    over every (design, V_dd) inverter (the exact tier's
+    :func:`~repro.service.exact.snm_mv_lanes`), energy through the
+    vectorised Eq. 7 sweep, delay/V_min through the exact tier's
+    scalar helpers.
     Starts from :func:`reset_warm_starts`, so the result is a pure
     function of (spec, node, ratio) — the sharding determinism
     contract.
@@ -252,12 +256,17 @@ def fill_shard(spec: GridSpec, node_name: str,
         out["ion_a_per_um"][rows] = metrics.i_on_per_um(vdd[:, None]).T
         out["vth_v"][rows] = metrics.vth(vdd[:, None]).T
 
+        # Every (design, V_dd) inverter of the shard in one stacked
+        # SNM extraction.
+        out["snm_mv"][rows] = snm_mv_lanes([
+            d.inverter(float(v)) for _i, d in solved for v in vdd
+        ]).reshape(len(solved), n_vdd)
+
     for i, design in solved:
         out["energy_fj_per_op"][i] = 1e15 * chain_energy_sweep(
             design.inverter(float(vdd[0])), vdd)
         for j in range(n_vdd):
             v = float(vdd[j])
-            out["snm_mv"][i, j] = _snm_mv(design, v)
             out["delay_ps"][i, j] = 1e12 * design.nfet.intrinsic_delay(v)
         out["ss_mv_per_dec"][i] = design.nfet.ss_mv_per_dec
         out["vmin_v"][i] = _vmin_v(design)

@@ -38,9 +38,10 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator, RegularGridInterpolator
 
+from ..errors import ModelDomainError
 from ..scaling.roadmap import node_by_name
 from .contract import ALL_METRICS, DESIGN_METRICS, VDD_METRICS
-from .exact import exact_point
+from .exact import exact_points
 from .grid import Grid
 
 __all__ = ["Surrogate", "fit_surrogate", "validate_surrogate",
@@ -194,6 +195,11 @@ def validate_surrogate(surrogate: Surrogate,
     where either tier reports NaN are skipped: a NaN surrogate answer
     is served from the exact tier anyway, and an exact NaN marks a
     region where the metric is undefined at the grid's own resolution.
+    Each node's exact answers come from one
+    :func:`~repro.service.exact.exact_points` call, so their SNMs share
+    one stacked extraction.  Raises
+    :class:`~repro.errors.ModelDomainError` when the surrogate has no
+    interpolant for one of its grid's nodes.
 
     The result is attached to ``surrogate.grid.error_bounds_rel`` and
     returned.
@@ -209,11 +215,15 @@ def validate_surrogate(surrogate: Surrogate,
         if len(points) > max_points_per_node:
             stride = -(-len(points) // max_points_per_node)
             points = points[::stride]
-        for l_ratio, log_t, vdd in points:
-            approx = surrogate.query(name, l_ratio, log_t, vdd)
-            assert approx is not None
-            exact = exact_point(node, l_ratio * node.l_poly_nm,
-                                10.0 ** log_t, vdd)
+        approx_rows = [surrogate.query(name, l_ratio, log_t, vdd)
+                       for l_ratio, log_t, vdd in points]
+        if any(row is None for row in approx_rows):
+            raise ModelDomainError(
+                f"surrogate has no interpolant for its grid's node {name}")
+        exact_rows = exact_points(node, [
+            (l_ratio * node.l_poly_nm, 10.0 ** log_t, vdd)
+            for l_ratio, log_t, vdd in points])
+        for approx, exact in zip(approx_rows, exact_rows):
             for metric in ALL_METRICS:
                 a, e = approx[metric], exact[metric]
                 if math.isnan(a) or math.isnan(e):

@@ -17,7 +17,9 @@ from repro import perf
 from repro.cache import grid_path
 from repro.errors import ParameterError
 from repro.service import GridSpec, build_grid, load_grid, store_grid
+from repro.scaling.roadmap import node_by_name
 from repro.service.contract import ALL_METRICS, DESIGN_METRICS, VDD_METRICS
+from repro.service.exact import _snm_mv, exact_design
 
 #: Smallest legal spec: 2 shards, 2 targets, 2 supplies (one node).
 MICRO = GridSpec(nodes=("65nm",), l_ratios=(1.5, 2.0),
@@ -92,6 +94,18 @@ class TestBuild:
         counts = perf.snapshot()
         assert counts["service.grid.shards"] == 2
         assert counts["service.grid.points"] == 8
+
+    def test_shard_snm_is_bitwise_the_exact_tier(self, micro_grid):
+        """The shard's one stacked SNM extraction gives every cell the
+        bits of the exact tier's one-design helper."""
+        node = node_by_name("65nm")
+        for i, ratio in enumerate(MICRO.l_ratios):
+            for j, log_t in enumerate(MICRO.log10_ioff):
+                design = exact_design(node, ratio * node.l_poly_nm,
+                                      10.0 ** log_t)
+                for k, vdd in enumerate(MICRO.vdd_v):
+                    cell = micro_grid.tensors["snm_mv"][0, i, j, k]
+                    assert cell == _snm_mv(design, vdd), (i, j, k)
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ParameterError, match="jobs"):

@@ -9,11 +9,14 @@ exact tier stays within ``SURROGATE_TOL_REL`` on every served metric.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.service import SURROGATE_TOL_REL, fit_surrogate
+from repro.errors import ModelDomainError
+from repro.service import (SURROGATE_TOL_REL, fit_surrogate,
+                           validate_surrogate)
 from repro.service.contract import (ALL_METRICS, DESIGN_METRICS,
                                     VDD_METRICS)
 from repro.service.grid import Grid, GridSpec
@@ -85,6 +88,16 @@ class TestMachinery:
     def test_unknown_node_returns_none(self):
         surrogate = fit_surrogate(synthetic_grid())
         assert surrogate.query("32nm", 1.4, -10.5, 0.30) is None
+
+    def test_validation_rejects_a_node_without_interpolant(self):
+        """A surrogate whose grid names a node it was never fitted for
+        fails validation with a typed error, also under ``python -O``."""
+        surrogate = fit_surrogate(synthetic_grid())
+        surrogate.grid = Grid(spec=replace(SPEC, nodes=("32nm",)),
+                              schema_hash="synthetic",
+                              tensors=surrogate.grid.tensors)
+        with pytest.raises(ModelDomainError, match="32nm"):
+            validate_surrogate(surrogate)
 
     def test_out_of_hull_is_nan(self):
         surrogate = fit_surrogate(synthetic_grid())

@@ -120,6 +120,8 @@ def summarise(raw: dict) -> dict:
         stats = bench["stats"]
         benches[bench["name"]] = {
             "mean_s": stats["mean"],
+            "median_s": stats["median"],
+            "iqr_s": stats["iqr"],
             "min_s": stats["min"],
             "stddev_s": stats["stddev"],
             "rounds": stats["rounds"],

@@ -42,7 +42,12 @@ The numerical hot paths are batched and cached at three layers:
   voltages *and* (ΔV_th,n, ΔV_th,p) perturbation pairs by masked
   vectorised bisection; `repro.circuit.noise_margins_batch` extracts
   every trial's gain = −1 noise margins through staged batched grid
-  refinement, and `repro.circuit.analytic_delay_batch` /
+  refinement.  Both take one inverter or a sequence of them, one per
+  lane, so a set of designs and supplies shares one extraction with
+  every lane bitwise its one-design answer (as in
+  `repro.circuit.noise_margins_stack`, the design grid's shards and
+  the exact tier's `exact_points`).
+  `repro.circuit.analytic_delay_batch` /
   `repro.circuit.chain_energy_sweep` vectorise the Eq. 4/7 paths for
   every consumer (`noise_margins`, `butterfly_snm`, `Inverter.vtc`,
   `SramCell.read_vtc`, `find_vmin`, the Monte Carlo distributions).
